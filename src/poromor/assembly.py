@@ -304,12 +304,6 @@ def assemble_coupling(space: TaylorHoodSpace, alpha: float,
     return C_up, D_pu
 
 
-def _facet_weight(space: TaylorHoodSpace, local_face: int) -> float:
-    axis = local_face // 2
-    h = space.mesh.cell_size
-    return float(np.prod(np.delete(h, axis) / 2.0))
-
-
 def _coupling_boundary(space, alpha, tags) -> sp.csr_matrix:
     mesh = space.mesh
     dim = space.dim
@@ -320,7 +314,7 @@ def _coupling_boundary(space, alpha, tags) -> sp.csr_matrix:
         if not cells:
             continue
         points, weights = _facet_rule(dim, local_face)
-        w = weights * _facet_weight(space, local_face)
+        w = weights * (mesh.facet_area(local_face) / 2 ** (dim - 1))
         Vu, _ = _u_tables(points, mesh.cell_size)
         Vp, _ = _p_tables(points, mesh.cell_size)
         normal = mesh.facet_normal(local_face)
@@ -356,7 +350,7 @@ def assemble_traction(space: TaylorHoodSpace, tag: BoundaryTag, t_bar: float,
         if not cells:
             continue
         points, weights = _facet_rule(dim, local_face)
-        w = weights * _facet_weight(space, local_face)
+        w = weights * (mesh.facet_area(local_face) / 2 ** (dim - 1))
         Vu, _ = _u_tables(points, mesh.cell_size)
         load = np.einsum("q,qa,i->ai", w, Vu, -t_bar * direction).reshape(-1)
         np.add.at(f, space.u_dof_map[cells].reshape(-1),
@@ -376,7 +370,7 @@ def assemble_goal_vector(space: TaylorHoodSpace, tag: BoundaryTag) -> np.ndarray
         if not cells:
             continue
         points, weights = _facet_rule(dim, local_face)
-        w = weights * _facet_weight(space, local_face)
+        w = weights * (mesh.facet_area(local_face) / 2 ** (dim - 1))
         Vp, _ = _p_tables(points, mesh.cell_size)
         load = np.einsum("q,qa->a", w, Vp)
         np.add.at(g, space.p_node_map[cells].reshape(-1),

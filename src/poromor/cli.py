@@ -1,6 +1,7 @@
 """Command-line interface: full-order runs, adaptive runs, comparisons.
 
-Exit codes: 0 success, 2 configuration error, 3 linear-solver failure,
+Exit codes: 0 success, 2 configuration error or unusable file path,
+3 numerical failure (linear solver or degenerate reduced system),
 4 adaptive run did not converge (outputs are still written).
 
 POROMOR_NUM_THREADS caps the BLAS/OpenMP thread pools; it must take effect
@@ -162,8 +163,8 @@ def cmd_moredwr(args) -> int:
 def cmd_compare(args) -> int:
     from . import reports
 
-    bundles = [reports.load_bundle(d) for d in args.bundles]
-    rows = reports.comparison_table([b.summary for b in bundles])
+    rows = reports.comparison_table(
+        [reports.read_summary(d) for d in args.bundles])
     print(reports.format_comparison(rows))
     if args.out:
         path = reports.write_comparison(args.out, rows)
@@ -178,8 +179,10 @@ def main(argv=None) -> int:
                         format="%(asctime)s %(levelname)s %(message)s")
     parser = _build_parser()
     args = parser.parse_args(argv)
+    from .estimator import DegenerateNormalizationError
     from .linsolve import ConvergenceError, FactorizationError
     from .problems import ConfigError
+    from .rom import DegenerateBasisError
 
     try:
         return args.func(args)
@@ -189,6 +192,12 @@ def main(argv=None) -> int:
     except (FactorizationError, ConvergenceError) as exc:
         print(f"linear solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
+    except (DegenerateBasisError, DegenerateNormalizationError) as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_SOLVER
+    except OSError as exc:
+        print(f"file error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except SystemExit:
         raise
     except ValueError as exc:

@@ -25,8 +25,6 @@ __all__ = [
     "StateVector",
     "Trajectory",
     "StepSystem",
-    "primal_step",
-    "dual_step",
     "run_primal_fom",
     "run_dual_fom",
     "evaluate_goal",
@@ -88,11 +86,6 @@ class Trajectory:
     solve_stats: dict = field(default_factory=dict)
     final_state: StateVector | None = None
 
-    def state(self, m: int) -> StateVector:
-        if self.U is None:
-            raise ValueError("trajectory was run without state storage")
-        return StateVector(self.U[m], self.P[m], m)
-
     def __len__(self) -> int:
         if self.U is not None:
             return self.U.shape[0]
@@ -104,6 +97,14 @@ class StepSystem:
 
     Primal step:  S [u_m; p_m] = [f; M p_{m-1} + D u_{m-1}]
     Dual step:    S^T [z_u; z_p] = [D^T z_p_next; M z_p_next + k g]
+
+    ``state_dtype`` is the working precision of right-hand sides, refinement
+    residuals and solve results: extended (``np.longdouble``) for direct
+    solves at small sizes, double otherwise.  At small sizes the estimator
+    resolves goal errors near eps * J, and the adjoint pressure weighs
+    flow-row defects by ~1e12, so even the double rounding of the flow block
+    M + k*K or of a stored state shows up in the estimate; trajectories
+    stored at this precision keep the step defects at the refinement floor.
     """
 
     def __init__(self, ops: BlockOperators, k: float,
@@ -116,21 +117,29 @@ class StepSystem:
         self.n_u = ops.n_u
         self.n_p = ops.n_p
 
-        flow = ops.M_pp + self.k * ops.K_pp
-        self.matrix = sp.bmat([[ops.A_uu, ops.C_up],
-                               [ops.D_pu, flow]], format="csr")
-        dual = sp.bmat([[ops.A_uu, ops.D_pu.T],
-                        [ops.C_up.T, flow.T]], format="csr")
+        self.matrix, dual = self._step_matrices(np.float64)
         defect = abs(dual - self.matrix.T).max() if dual.nnz else 0.0
         if defect > 1e-12:
             raise AssertionError(
                 f"dual step matrix deviates from the primal transpose by {defect:.3e}")
         self.dual_matrix = dual
 
+        direct = self.solver.method is SolverMethod.DIRECT
+        extended = direct and self.n_u + self.n_p <= EXTENDED_REFINE_LIMIT
+        wp = np.longdouble if extended else np.float64
+        self.state_dtype = wp
+        self._M = ops.M_pp.astype(wp, copy=False)
+        self._D = ops.D_pu.astype(wp, copy=False)
+        self._f = ops.f_traction.astype(wp, copy=False)
+        self._kg = wp(self.k) * ops.g_goal.astype(wp, copy=False)
+        # (primal, dual) operators of GMRES solves and refinement residuals
+        self._working_matrices = (self._step_matrices(wp) if extended
+                                  else (self.matrix, self.dual_matrix))
+        self._passes = 2 if extended else 1
+
         self._lu: Factorization | None = None
         self._scale: np.ndarray | None = None
-        self._ext: dict | None = None
-        if self.solver.method is SolverMethod.DIRECT:
+        if direct:
             # symmetric Jacobi equilibration: the raw system mixes stiffness
             # entries ~1e8 with storage-mass entries ~1e-8, which ruins the
             # forward accuracy of a plain LU on the flow rows.  D S D keeps
@@ -142,136 +151,71 @@ class StepSystem:
             self._scale = 1.0 / np.sqrt(np.abs(diag))
             D = sp.diags(self._scale)
             self._lu = Factorization(D @ self.matrix @ D)
-            if self.n_u + self.n_p <= EXTENDED_REFINE_LIMIT:
-                # at small sizes, form right-hand sides and refine residuals
-                # in extended precision against the operator with the flow
-                # block M + k*K recombined in extended precision: the error
-                # estimator applies M and k*K separately, and the adjoint
-                # pressure weighs flow-row defects by ~1e12, so even the
-                # double rounding of that block sum shows up as eps * J
-                ld = np.longdouble
-                A_ld = ops.A_uu.astype(ld)
-                C_ld = ops.C_up.astype(ld)
-                D_ld = ops.D_pu.astype(ld)
-                M_ld = ops.M_pp.astype(ld)
-                flow_ld = M_ld + ld(self.k) * ops.K_pp.astype(ld)
-                self._ext = {
-                    "primal": sp.bmat([[A_ld, C_ld], [D_ld, flow_ld]],
-                                      format="csr"),
-                    "dual": sp.bmat([[A_ld, D_ld.T], [C_ld.T, flow_ld.T]],
-                                    format="csr"),
-                    "M": M_ld,
-                    "D": D_ld,
-                    "DT": D_ld.T.tocsr(),
-                    "f": ops.f_traction.astype(ld),
-                    "kg": ld(self.k) * ops.g_goal.astype(ld),
-                }
         self.solve_count = 0
         self.iteration_counts: list[int] = []
 
-    @property
-    def state_dtype(self):
-        """Working precision of solve results (extended at small sizes).
-
-        Trajectories stored at this precision keep the step defects at the
-        refinement floor; rounding states to double reintroduces flow-row
-        defects that the huge adjoint pressure weights amplify to ~eps * J.
-        """
-        return np.longdouble if self._ext is not None else np.float64
+    def _step_matrices(self, dtype):
+        """Primal and dual step matrices, with M + k*K combined in ``dtype``."""
+        ops = self.ops
+        A, C, D, M, K = (b.astype(dtype, copy=False) for b in
+                         (ops.A_uu, ops.C_up, ops.D_pu, ops.M_pp, ops.K_pp))
+        flow = M + dtype(self.k) * K
+        return (sp.bmat([[A, C], [D, flow]], format="csr"),
+                sp.bmat([[A, D.T], [C.T, flow.T]], format="csr"))
 
     def primal_rhs(self, u_prev: np.ndarray, p_prev: np.ndarray) -> np.ndarray:
-        rhs = np.empty(self.n_u + self.n_p)
-        rhs[:self.n_u] = self.ops.f_traction
-        rhs[self.n_u:] = self.ops.M_pp @ p_prev + self.ops.D_pu @ u_prev
+        rhs = np.empty(self.n_u + self.n_p, dtype=self.state_dtype)
+        rhs[:self.n_u] = self._f
+        rhs[self.n_u:] = self._M @ p_prev + self._D @ u_prev
         return rhs
 
     def dual_rhs(self, zp_next: np.ndarray) -> np.ndarray:
-        rhs = np.empty(self.n_u + self.n_p)
-        rhs[:self.n_u] = self.ops.D_pu.T @ zp_next
-        rhs[self.n_u:] = self.ops.M_pp @ zp_next + self.k * self.ops.g_goal
+        rhs = np.empty(self.n_u + self.n_p, dtype=self.state_dtype)
+        rhs[:self.n_u] = self._D.T @ zp_next
+        rhs[self.n_u:] = self._M @ zp_next + self._kg
         return rhs
 
     def _solve(self, rhs, transpose: bool, x0=None) -> np.ndarray:
         self.solve_count += 1
-        if self._lu is not None:
-            d = self._scale
-            x = d * self._lu.solve(np.asarray(d * rhs, dtype=np.float64),
-                                   transpose=transpose)
-            # iterative refinement; the dual-weighted estimator resolves goal
-            # errors ~1e-8 relative and sees raw LU defects
-            if self._ext is not None:
-                matrix = self._ext["dual" if transpose else "primal"]
-                x = x.astype(np.longdouble)
-                for _ in range(2):
-                    residual = (d * (rhs - matrix @ x)).astype(np.float64)
-                    x += d * self._lu.solve(residual, transpose=transpose)
-                return x
-            matrix = self.dual_matrix if transpose else self.matrix
-            x += d * self._lu.solve(d * (rhs - matrix @ x),
-                                    transpose=transpose)
+        matrix = self._working_matrices[1 if transpose else 0]
+        if self._lu is None:
+            x, iters = gmres_solve(matrix, rhs, self.solver, x0=x0)
+            self.iteration_counts.append(iters)
             return x
-        matrix = self.dual_matrix if transpose else self.matrix
-        x, iters = gmres_solve(matrix, rhs, self.solver, x0=x0)
-        self.iteration_counts.append(iters)
+        d = self._scale
+        x = d * self._lu.solve(np.asarray(d * rhs, dtype=np.float64),
+                               transpose=transpose)
+        x = x.astype(self.state_dtype, copy=False)
+        # iterative refinement; the dual-weighted estimator resolves goal
+        # errors ~1e-8 relative and sees raw LU defects
+        for _ in range(self._passes):
+            residual = np.asarray(d * (rhs - matrix @ x), dtype=np.float64)
+            x += d * self._lu.solve(residual, transpose=transpose)
         return x
 
     def solve_primal(self, u_prev, p_prev, x0=None) -> tuple[np.ndarray, np.ndarray]:
-        if self._ext is not None:
-            ext = self._ext
-            rhs = np.concatenate([ext["f"], ext["M"] @ p_prev + ext["D"] @ u_prev])
-        else:
-            rhs = self.primal_rhs(u_prev, p_prev)
-        x = self._solve(rhs, transpose=False, x0=x0)
+        x = self._solve(self.primal_rhs(u_prev, p_prev), transpose=False, x0=x0)
         return x[:self.n_u], x[self.n_u:]
 
     def solve_dual(self, zp_next, x0=None) -> tuple[np.ndarray, np.ndarray]:
-        if self._ext is not None:
-            ext = self._ext
-            rhs = np.concatenate([ext["DT"] @ zp_next,
-                                  ext["M"] @ zp_next + ext["kg"]])
-        else:
-            rhs = self.dual_rhs(zp_next)
-        x = self._solve(rhs, transpose=True, x0=x0)
+        x = self._solve(self.dual_rhs(zp_next), transpose=True, x0=x0)
         return x[:self.n_u], x[self.n_u:]
 
 
-def primal_step(ops: BlockOperators, prev: StateVector, k: float,
-                system: StepSystem | None = None) -> StateVector:
-    """Advance the primal solution by one backward-Euler step."""
-    system = system or StepSystem(ops, k)
-    u, p = system.solve_primal(prev.u, prev.p,
-                               x0=np.concatenate([prev.u, prev.p]))
-    return StateVector(u, p, prev.time_index + 1)
-
-
-def dual_step(ops: BlockOperators, next_dual: StateVector, k: float,
-              system: StepSystem | None = None) -> StateVector:
-    """Advance the adjoint solution by one step backward in time."""
-    system = system or StepSystem(ops, k)
-    zu, zp = system.solve_dual(next_dual.p,
-                               x0=np.concatenate([next_dual.u, next_dual.p]))
-    return StateVector(zu, zp, next_dual.time_index - 1)
-
-
 def run_primal_fom(ops: BlockOperators, grid: TimeGrid,
-                   initial: StateVector | None = None,
                    solver: LinearSolverConfig | None = None,
                    store_states: bool = True) -> Trajectory:
-    """Sweep the primal problem forward over the whole time grid."""
+    """Sweep the primal problem forward from the zero initial condition."""
     start = time.perf_counter()
     M = grid.num_elements
-    if initial is None:
-        initial = StateVector(np.zeros(ops.n_u), np.zeros(ops.n_p), 0)
     system = StepSystem(ops, grid.k, solver) if M > 0 else None
 
     dtype = system.state_dtype if system is not None else np.float64
     goal_series = np.zeros(M + 1)
-    goal_series[0] = ops.g_goal @ initial.p
     if store_states:
         U = np.zeros((M + 1, ops.n_u), dtype=dtype)
         P = np.zeros((M + 1, ops.n_p), dtype=dtype)
-        U[0], P[0] = initial.u, initial.p
-    u, p = initial.u, initial.p
+    u, p = np.zeros(ops.n_u), np.zeros(ops.n_p)
     for m in range(1, M + 1):
         u, p = system.solve_primal(u, p, x0=np.concatenate([u, p]))
         goal_series[m] = ops.g_goal @ p

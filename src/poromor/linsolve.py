@@ -20,7 +20,6 @@ __all__ = [
     "Preconditioner",
     "LinearSolverConfig",
     "Factorization",
-    "factorize",
     "gmres_solve",
     "FactorizationError",
     "ConvergenceError",
@@ -80,19 +79,6 @@ class Factorization:
 
     def solve(self, rhs: np.ndarray, transpose: bool = False) -> np.ndarray:
         return self._lu.solve(rhs, trans="T" if transpose else "N")
-
-
-def factorize(matrix: sp.spmatrix) -> Factorization:
-    return Factorization(matrix)
-
-
-def _jacobi(matrix: sp.spmatrix) -> spla.LinearOperator:
-    diag = matrix.diagonal()
-    if np.any(diag == 0.0):
-        raise ValueError("Jacobi preconditioner requires a nonzero diagonal")
-    inv = 1.0 / diag
-    n = matrix.shape[0]
-    return spla.LinearOperator((n, n), matvec=lambda x: inv * x)
 
 
 def gmres_solve(matrix: sp.spmatrix, rhs: np.ndarray,

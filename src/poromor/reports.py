@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -16,8 +15,6 @@ import numpy as np
 from .adaptive import RunRecord
 
 __all__ = [
-    "ReportBundle",
-    "load_bundle",
     "write_goal_csv",
     "write_iterations_csv",
     "write_summary",
@@ -44,26 +41,6 @@ def _fmt(value) -> str:
             return "nan"
         return f"{value:.17g}"
     return str(value)
-
-
-@dataclass
-class ReportBundle:
-    """File locations and summary record of one run output directory."""
-
-    directory: Path
-    summary: dict
-
-    @property
-    def goal_path(self) -> Path:
-        return self.directory / GOAL_CSV
-
-    @property
-    def iterations_path(self) -> Path:
-        return self.directory / ITERATIONS_CSV
-
-
-def load_bundle(directory) -> ReportBundle:
-    return ReportBundle(Path(directory), read_summary(directory))
 
 
 def write_goal_csv(directory, times, goal_rom=None, goal_fom=None) -> Path:

@@ -170,47 +170,49 @@ def _propagator(step_matrix: np.ndarray, transfer: np.ndarray,
     return G, h, d
 
 
+def _sweep(S: np.ndarray, T: np.ndarray, load: np.ndarray, rows: range,
+           n_u: int) -> tuple[np.ndarray, np.ndarray]:
+    """Iterate S x_m = T x_prev + load over ``rows``, from a zero state.
+
+    Returns the (len(rows) + 1)-row displacement and pressure coefficient
+    arrays; the row outside ``rows`` keeps the zero initial/terminal state.
+    """
+    n_rows = len(rows) + 1
+    U = np.zeros((n_rows, n_u))
+    P = np.zeros((n_rows, S.shape[0] - n_u))
+    if S.size > 0 and len(rows) > 0:
+        G, h, d = _propagator(S, T, load)
+        y = np.zeros(S.shape[0])
+        for m in rows:
+            y = G @ y + h
+            x = d * y
+            U[m], P[m] = x[:n_u], x[n_u:]
+    return U, P
+
+
 def solve_primal_rom(red: ReducedOperators, grid: TimeGrid) -> ReducedTrajectory:
     """Reduced primal sweep from the zero initial condition."""
     nu, np_ = red.n_primal_u, red.n_primal_p
-    M = grid.num_elements
-    U = np.zeros((M + 1, nu))
-    P = np.zeros((M + 1, np_))
-    if nu + np_ > 0 and M > 0:
-        k = grid.k
-        S = np.block([[red.A_r, red.C_r],
-                      [red.D_r, red.M_r + k * red.K_r]])
-        T = np.block([[np.zeros((nu, nu)), np.zeros((nu, np_))],
-                      [red.D_r, red.M_r]])
-        load = np.concatenate([red.f_r, np.zeros(np_)])
-        G, h, d = _propagator(S, T, load)
-        y = np.zeros(nu + np_)
-        for m in range(1, M + 1):
-            y = G @ y + h
-            x = d * y
-            U[m], P[m] = x[:nu], x[nu:]
+    k = grid.k
+    S = np.block([[red.A_r, red.C_r],
+                  [red.D_r, red.M_r + k * red.K_r]])
+    T = np.block([[np.zeros((nu, nu)), np.zeros((nu, np_))],
+                  [red.D_r, red.M_r]])
+    load = np.concatenate([red.f_r, np.zeros(np_)])
+    U, P = _sweep(S, T, load, range(1, grid.num_elements + 1), nu)
     return ReducedTrajectory(U, P, "primal", red.versions)
 
 
 def solve_dual_rom(red: ReducedOperators, grid: TimeGrid) -> ReducedTrajectory:
     """Reduced adjoint sweep backward from the zero terminal condition."""
     nu, np_ = red.n_dual_u, red.n_dual_p
-    M = grid.num_elements
-    Zu = np.zeros((M + 1, nu))
-    Zp = np.zeros((M + 1, np_))
-    if nu + np_ > 0 and M > 0:
-        k = grid.k
-        S = np.block([[red.A_d, red.DT_d],
-                      [red.CT_d, red.M_d + k * red.K_d]])
-        T = np.block([[np.zeros((nu, nu)), red.DT_d],
-                      [np.zeros((np_, nu)), red.M_d]])
-        load = np.concatenate([np.zeros(nu), k * red.g_d])
-        G, h, d = _propagator(S, T, load)
-        y = np.zeros(nu + np_)
-        for m in range(M - 1, -1, -1):
-            y = G @ y + h
-            z = d * y
-            Zu[m], Zp[m] = z[:nu], z[nu:]
+    k = grid.k
+    S = np.block([[red.A_d, red.DT_d],
+                  [red.CT_d, red.M_d + k * red.K_d]])
+    T = np.block([[np.zeros((nu, nu)), red.DT_d],
+                  [np.zeros((np_, nu)), red.M_d]])
+    load = np.concatenate([np.zeros(nu), k * red.g_d])
+    Zu, Zp = _sweep(S, T, load, range(grid.num_elements - 1, -1, -1), nu)
     return ReducedTrajectory(Zu, Zp, "dual", red.versions)
 
 

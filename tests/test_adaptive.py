@@ -6,6 +6,7 @@ import pytest
 from poromor.adaptive import (MoreDwrConfig, enrich_at, initialize_bases,
                               run_moredwr)
 from poromor.fom import StepSystem, evaluate_goal, run_primal_fom
+from poromor.linsolve import SolverMethod
 from poromor.problems import build_problem, mandel_spec
 from poromor.rom import project_operators, solve_dual_rom, solve_primal_rom
 
@@ -144,3 +145,35 @@ def test_config_validation():
     with pytest.raises(ValueError):
         MoreDwrConfig(extra_dual_steps=-1).validate()
     MoreDwrConfig().validate()
+
+
+# Iteration logs of the three StepSystem paths at tol 1%: extended-precision
+# direct (n <= EXTENDED_REFINE_LIMIT), double direct, and GMRES.
+PINNED_LOGS = [
+    ((4, 2), 20, "direct", np.longdouble,
+     37, (3, 5, 4, 5), [20, 4, 2, 6, 3, 9], 84963626338939.14),
+    ((80, 16), 40, "direct", np.float64,
+     37, (3, 6, 6, 6), [40, 5, 8, 2, 10, 17], 86665078985953.23),
+    ((4, 2), 20, "gmres", np.float64,
+     37, (3, 5, 4, 5), [20, 4, 2, 6, 3, 9], 84963570003940.44),
+]
+
+
+@pytest.mark.parametrize(
+    "cells, steps, method, dtype, fom_solves, sizes, m_max, J_pinned",
+    PINNED_LOGS, ids=["extended-direct", "double-direct", "gmres"])
+def test_iteration_logs_pinned(cells, steps, method, dtype, fom_solves, sizes,
+                               m_max, J_pinned):
+    spec = mandel_spec(cells=cells, steps=steps)
+    spec.solver = dataclasses.replace(spec.solver, method=SolverMethod(method))
+    ops, grid = build_problem(spec)
+    assert StepSystem(ops, grid.k, spec.solver).state_dtype is dtype
+    J_fom = evaluate_goal(run_primal_fom(ops, grid, solver=spec.solver,
+                                         store_states=False), grid)
+    assert J_fom == pytest.approx(J_pinned, rel=1e-12, abs=0)
+    record = run_moredwr(ops, grid, spec.moredwr, solver=spec.solver,
+                         reference_goal=J_fom).record
+    assert record.converged
+    assert record.fom_solves == fom_solves
+    assert record.basis_sizes == sizes
+    assert [log.m_max for log in record.iterations] == m_max

@@ -4,12 +4,14 @@ import dataclasses
 import numpy as np
 import pytest
 
-from poromor import reports
+from poromor import adaptive, reports
 from poromor.cli import main
 from poromor.discretization import BoundaryTag, ProblemKind
+from poromor.estimator import DegenerateNormalizationError
 from poromor.linsolve import Preconditioner, SolverMethod
 from poromor.problems import (ConfigError, footing_spec, mandel_spec,
                               parse_config)
+from poromor.rom import DegenerateBasisError
 
 
 def test_mandel_defaults_reproduce_reference_setup():
@@ -229,3 +231,29 @@ def test_summary_full_precision(tmp_path):
     # 17 significant digits round-trip exactly
     value = float(summary["J_fom"])
     assert f"{value:.17g}" == summary["J_fom"]
+
+
+@pytest.mark.parametrize("error", [
+    DegenerateBasisError("reduced step matrix is numerically singular"),
+    DegenerateNormalizationError("J_rom + sum(eta_m) vanishes"),
+], ids=["degenerate-basis", "degenerate-normalization"])
+def test_cli_numerical_failure_exit_code(tmp_path, monkeypatch, capsys, error):
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(adaptive, "run_moredwr", fail)
+    code = main(["moredwr", "--problem", "mandel", "--cells", "2x1",
+                 "--steps", "2", "--out", str(tmp_path / "x")])
+    assert code == 3
+    assert f"numerical failure: {error}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, flag", [("moredwr", "--reference"),
+                                           ("fom", "--config")])
+def test_cli_missing_input_exit_code(tmp_path, capsys, command, flag):
+    missing = tmp_path / "no_such_input"
+    code = main([command, "--problem", "mandel", "--cells", "2x1",
+                 "--steps", "2", flag, str(missing),
+                 "--out", str(tmp_path / "x")])
+    assert code == 2
+    assert str(missing) in capsys.readouterr().err

@@ -19,7 +19,7 @@ from poromor.assembly import (MaterialParams, apply_dirichlet,
 from poromor.discretization import (BoundaryTag, ProblemKind,
                                     build_structured_mesh,
                                     build_taylor_hood_space, tag_boundaries)
-from poromor.linsolve import factorize
+from poromor.linsolve import Factorization
 from poromor.problems import build_problem, footing_spec, mandel_spec
 
 
@@ -313,7 +313,7 @@ def test_dirichlet_counts_footing():
 def test_constrained_elasticity_definite(mandel_small):
     _, ops, _ = mandel_small
     # unique zero solution of A x = 0 after constraints
-    handle = factorize(ops.A_uu.tocsc())
+    handle = Factorization(ops.A_uu.tocsc())
     x = handle.solve(np.zeros(ops.n_u))
     assert np.abs(x).max() == 0.0
     eigs = np.linalg.eigvalsh(ops.A_uu.toarray())

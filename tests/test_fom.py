@@ -3,8 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from poromor.fom import (StateVector, StepSystem, TimeGrid, dual_step,
-                         evaluate_goal, primal_step, run_dual_fom,
+from poromor.fom import (StepSystem, TimeGrid, evaluate_goal, run_dual_fom,
                          run_primal_fom, Trajectory)
 from poromor.problems import build_problem, footing_spec, mandel_spec
 
@@ -34,15 +33,15 @@ def test_zero_traction_stays_zero():
 def test_single_cell_step_matches_dense_oracle():
     spec = mandel_spec(cells=(1, 1), steps=1)
     ops, grid = build_problem(spec)
-    state = primal_step(ops, StateVector(np.zeros(ops.n_u), np.zeros(ops.n_p), 0),
-                        grid.k)
+    u, p = StepSystem(ops, grid.k).solve_primal(np.zeros(ops.n_u),
+                                                np.zeros(ops.n_p))
     # dense monolithic solve assembled independently of StepSystem
     flow = (ops.M_pp + grid.k * ops.K_pp).toarray()
     S = np.block([[ops.A_uu.toarray(), ops.C_up.toarray()],
                   [ops.D_pu.toarray(), flow]])
     rhs = np.concatenate([ops.f_traction, np.zeros(ops.n_p)])
     x = np.linalg.solve(S, rhs)
-    np.testing.assert_allclose(np.concatenate([state.u, state.p]), x,
+    np.testing.assert_allclose(np.concatenate([u, p]), x,
                                rtol=1e-9, atol=1e-12 * np.abs(x).max())
 
 
@@ -111,10 +110,9 @@ def test_dual_single_element():
 
 def test_dual_step_function(mandel_small):
     _, ops, grid = mandel_small
-    terminal = StateVector(np.zeros(ops.n_u), np.zeros(ops.n_p), grid.num_elements)
-    state = dual_step(ops, terminal, grid.k)
+    _, zp = StepSystem(ops, grid.k).solve_dual(np.zeros(ops.n_p))
     full = run_dual_fom(ops, grid)
-    np.testing.assert_allclose(state.p, full.P[grid.num_elements - 1],
+    np.testing.assert_allclose(zp, full.P[grid.num_elements - 1],
                                rtol=1e-12, atol=0)
 
 
@@ -171,8 +169,6 @@ def test_store_states_false_keeps_goal_series(mandel_small):
     assert lean.U is None
     np.testing.assert_array_equal(np.asarray(lean.final_state.p, dtype=float),
                                   np.asarray(full.P[-1], dtype=float))
-    with pytest.raises(ValueError):
-        lean.state(3)
 
 
 def test_unconstrained_ops_rejected(mandel_small):

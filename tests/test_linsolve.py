@@ -3,9 +3,9 @@ import pytest
 import scipy.sparse as sp
 
 from poromor.fom import StepSystem
-from poromor.linsolve import (ConvergenceError, FactorizationError,
-                              LinearSolverConfig, Preconditioner,
-                              SolverMethod, factorize, gmres_solve)
+from poromor.linsolve import (ConvergenceError, Factorization,
+                              FactorizationError, LinearSolverConfig,
+                              Preconditioner, SolverMethod, gmres_solve)
 
 GMRES_CFG = LinearSolverConfig(method=SolverMethod.GMRES,
                                gmres_tolerance=5e-8, gmres_restart=100,
@@ -14,13 +14,13 @@ GMRES_CFG = LinearSolverConfig(method=SolverMethod.GMRES,
 
 
 def test_factorize_identity():
-    handle = factorize(sp.identity(5, format="csc"))
+    handle = Factorization(sp.identity(5, format="csc"))
     rhs = np.arange(5.0)
     assert np.array_equal(handle.solve(rhs), rhs)
 
 
 def test_factorize_diagonal():
-    handle = factorize(sp.csc_matrix(np.diag([2.0, 4.0])))
+    handle = Factorization(sp.csc_matrix(np.diag([2.0, 4.0])))
     x = handle.solve(np.array([2.0, 4.0]))
     np.testing.assert_allclose(x, [1.0, 1.0], rtol=0, atol=0)
 
@@ -30,21 +30,21 @@ def test_factorize_random_spd_residual():
     B = rng.standard_normal((50, 50))
     A = sp.csc_matrix(B @ B.T + 50 * np.eye(50))
     b = rng.standard_normal(50)
-    x = factorize(A).solve(b)
+    x = Factorization(A).solve(b)
     assert np.linalg.norm(A @ x - b) / np.linalg.norm(b) < 1e-12
 
 
 def test_factorize_singular_raises():
     singular = sp.csc_matrix(np.array([[1.0, 2.0], [2.0, 4.0]]))
     with pytest.raises(FactorizationError):
-        factorize(singular)
+        Factorization(singular)
 
 
 def test_factorize_transpose_solve():
     rng = np.random.default_rng(5)
     A = sp.csc_matrix(rng.standard_normal((20, 20)) + 20 * np.eye(20))
     b = rng.standard_normal(20)
-    x = factorize(A).solve(b, transpose=True)
+    x = Factorization(A).solve(b, transpose=True)
     assert np.linalg.norm(A.T @ x - b) / np.linalg.norm(b) < 1e-12
 
 
