@@ -122,15 +122,13 @@ class MoreDwrResult:
 
 
 def initialize_bases(ops: BlockOperators, grid: TimeGrid,
-                     config: MoreDwrConfig,
-                     system: StepSystem | None = None):
+                     config: MoreDwrConfig, system: StepSystem):
     """Seed the four bases from one primal and one dual full-order step.
 
     The primal step starts from the zero initial condition on the first
     temporal element; the dual step starts from the zero terminal condition
     on the last one.  Returns the bases and the solve count (2).
     """
-    system = system or StepSystem(ops, grid.k)
     pu = PodBasis.empty(ops.n_u, config.energy_primal_u)
     pp = PodBasis.empty(ops.n_p, config.energy_primal_p)
     du = PodBasis.empty(ops.n_u, config.energy_dual_u)

@@ -16,7 +16,8 @@ FAST = MoreDwrConfig(tol_rel=0.01, extra_dual_iterations=5,
 
 def test_initialize_bases_counts(mandel_small):
     _, ops, grid = mandel_small
-    (pu, pp, du, dp), solves = initialize_bases(ops, grid, FAST)
+    (pu, pp, du, dp), solves = initialize_bases(ops, grid, FAST,
+                                                StepSystem(ops, grid.k))
     assert solves == 2
     assert (pu.rank, pp.rank, du.rank, dp.rank) == (1, 1, 1, 1)
 

@@ -6,6 +6,7 @@ from poromor.fom import StepSystem
 from poromor.linsolve import (ConvergenceError, Factorization,
                               FactorizationError, LinearSolverConfig,
                               Preconditioner, SolverMethod, gmres_solve)
+from poromor.problems import build_problem, mandel_spec
 
 GMRES_CFG = LinearSolverConfig(method=SolverMethod.GMRES,
                                gmres_tolerance=5e-8, gmres_restart=100,
@@ -126,3 +127,20 @@ def test_config_validation():
     with pytest.raises(ValueError):
         LinearSolverConfig(gmres_restart=0).validate()
     LinearSolverConfig().validate()
+
+
+def test_step_matrix_ordering_fill_and_residuals():
+    # the minimum-degree ordering of A + A^T in symmetric mode gives
+    # 243,921 L + U nonzeros on the Mandel 40x8 step matrix; COLAMD, the
+    # SuperLU default, gives 309,398
+    ops, grid = build_problem(mandel_spec(cells=(40, 8), steps=5000))
+    system = StepSystem(ops, grid.k)
+    lu = system._lu._lu
+    assert lu.L.nnz + lu.U.nnz < 260_000
+
+    D = sp.diags(system._scale)
+    scaled = D @ system.matrix @ D
+    rhs = np.random.default_rng(7).standard_normal(scaled.shape[0])
+    for op, transpose in ((scaled, False), (scaled.T, True)):
+        x = system._lu.solve(rhs, transpose=transpose)
+        assert np.linalg.norm(op @ x - rhs) / np.linalg.norm(rhs) <= 1e-12
