@@ -137,7 +137,7 @@ def initialize_bases(ops: BlockOperators, grid: TimeGrid,
     u1, p1 = system.solve_primal(np.zeros(ops.n_u), np.zeros(ops.n_p))
     pu = ipod_update(pu, u1)
     pp = ipod_update(pp, p1)
-    zu, zp = system.solve_dual(np.zeros(ops.n_p))
+    zu, zp = system.solve_dual(np.zeros(ops.n_u), np.zeros(ops.n_p))
     du = ipod_update(du, zu)
     dp = ipod_update(dp, zp)
     return (pu, pp, du, dp), 2
@@ -160,10 +160,8 @@ def enrich_at(ops: BlockOperators, grid: TimeGrid,
     zu_next = lift(dual.U[m_max], du)
     zp_next = lift(dual.P[m_max], dp)
 
-    u_new, p_new = system.solve_primal(
-        u_prev, p_prev, x0=np.concatenate([u_prev, p_prev]))
-    zu_new, zp_new = system.solve_dual(
-        zp_next, x0=np.concatenate([zu_next, zp_next]))
+    u_new, p_new = system.solve_primal(u_prev, p_prev)
+    zu_new, zp_new = system.solve_dual(zu_next, zp_next)
 
     pu = ipod_update(pu, u_new)
     pp = ipod_update(pp, p_new)
@@ -198,7 +196,7 @@ def extra_dual_enrichment(ops: BlockOperators, grid: TimeGrid,
     snap_u = np.empty((ops.n_u, steps))
     snap_p = np.empty((ops.n_p, steps))
     for j in range(steps):
-        zu, zp = system.solve_dual(zp, x0=np.concatenate([zu, zp]))
+        zu, zp = system.solve_dual(zu, zp)
         snap_u[:, j] = zu
         snap_p[:, j] = zp
     du = ipod_update(du, snap_u)

@@ -244,15 +244,40 @@ def _divergence_element(space: TaylorHoodSpace, alpha: float) -> np.ndarray:
     return d4.reshape(n_q1, n_q2 * dim)
 
 
-def _scatter(rows_map, cols_map, elem, shape) -> sp.csr_matrix:
-    """Scatter one element matrix to every cell; duplicate entries are summed."""
+def _triplets(rows_map, cols_map, elem):
+    """COO (rows, cols, data) of one element matrix placed on every cell."""
     n_cells, nr = rows_map.shape
     nc = cols_map.shape[1]
-    rows = np.repeat(rows_map, nc, axis=1).reshape(-1)
-    cols = np.tile(cols_map, (1, nr)).reshape(-1)
-    data = np.tile(elem.reshape(-1), n_cells)
-    mat = sp.coo_matrix((data, (rows, cols)), shape=shape)
-    return mat.tocsr()
+    return (np.repeat(rows_map, nc, axis=1).reshape(-1),
+            np.tile(cols_map, (1, nr)).reshape(-1),
+            np.tile(elem.reshape(-1), n_cells))
+
+
+def _scatter(rows_map, cols_map, elem, shape) -> sp.csr_matrix:
+    """Scatter one element matrix to every cell; duplicate entries are summed."""
+    rows, cols, data = _triplets(rows_map, cols_map, elem)
+    return sp.coo_matrix((data, (rows, cols)), shape=shape).tocsr()
+
+
+def _boundary_faces(space: TaylorHoodSpace, tags):
+    """Facet quadrature on the boundary facets tagged with one of ``tags``.
+
+    Yields ``(local_face, cells, w, Vu, Vp)`` per local face that has such
+    facets: the owning cells, the facet weights scaled to the physical
+    facet, and the Q2 and Q1 value tables at the facet points.
+    """
+    mesh = space.mesh
+    dim = space.dim
+    for local_face in range(2 * dim):
+        cells = [c for (c, f), t in mesh.boundary_facets.items()
+                 if f == local_face and t in tags]
+        if not cells:
+            continue
+        points, weights = _facet_rule(dim, local_face)
+        w = weights * (mesh.facet_area(local_face) / 2 ** (dim - 1))
+        Vu, _ = _u_tables(points, mesh.cell_size)
+        Vp, _ = _p_tables(points, mesh.cell_size)
+        yield local_face, cells, w, Vu, Vp
 
 
 def _exact_symmetrize(mat: sp.csr_matrix) -> sp.csr_matrix:
@@ -305,53 +330,28 @@ def assemble_coupling(space: TaylorHoodSpace, alpha: float,
 
 
 def _coupling_boundary(space, alpha, tags) -> sp.csr_matrix:
-    mesh = space.mesh
-    dim = space.dim
-    rows, cols, data = [], [], []
-    for local_face in range(2 * dim):
-        cells = [c for (c, f), t in mesh.boundary_facets.items()
-                 if f == local_face and t in tags]
-        if not cells:
-            continue
-        points, weights = _facet_rule(dim, local_face)
-        w = weights * (mesh.facet_area(local_face) / 2 ** (dim - 1))
-        Vu, _ = _u_tables(points, mesh.cell_size)
-        Vp, _ = _p_tables(points, mesh.cell_size)
-        normal = mesh.facet_normal(local_face)
+    parts = []
+    for face, cells, w, Vu, Vp in _boundary_faces(space, tags):
+        normal = space.mesh.facet_normal(face)
         # alpha <p n, v>: component i picks up n_i
         face4 = alpha * np.einsum("q,qa,qb,i->aib", w, Vu, Vp, normal)
-        n_q2 = Vu.shape[1]
-        elem = face4.reshape(n_q2 * dim, Vp.shape[1])
-        u_dofs = space.u_dof_map[cells]
-        p_nodes = space.p_node_map[cells]
-        nr, nc = elem.shape
-        rows.append(np.repeat(u_dofs, nc, axis=1).reshape(-1))
-        cols.append(np.tile(p_nodes, (1, nr)).reshape(-1))
-        data.append(np.tile(elem.reshape(-1), len(cells)))
-    if not rows:
+        elem = face4.reshape(Vu.shape[1] * space.dim, Vp.shape[1])
+        parts.append(_triplets(space.u_dof_map[cells], space.p_node_map[cells],
+                               elem))
+    if not parts:
         return sp.csr_matrix((space.n_u, space.n_p))
-    mat = sp.coo_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(space.n_u, space.n_p))
-    return mat.tocsr()
+    rows, cols, data = (np.concatenate(p) for p in zip(*parts))
+    return sp.coo_matrix((data, (rows, cols)),
+                         shape=(space.n_u, space.n_p)).tocsr()
 
 
 def assemble_traction(space: TaylorHoodSpace, tag: BoundaryTag, t_bar: float,
                       direction: np.ndarray) -> np.ndarray:
     """Load vector of the traction condition sigma(u) . n = -t_bar * direction."""
-    mesh = space.mesh
-    dim = space.dim
     direction = np.asarray(direction, dtype=float)
-    _require_tag(mesh, tag)
+    _require_tag(space.mesh, tag)
     f = np.zeros(space.n_u)
-    for local_face in range(2 * dim):
-        cells = [c for (c, fc), t in mesh.boundary_facets.items()
-                 if fc == local_face and t is tag]
-        if not cells:
-            continue
-        points, weights = _facet_rule(dim, local_face)
-        w = weights * (mesh.facet_area(local_face) / 2 ** (dim - 1))
-        Vu, _ = _u_tables(points, mesh.cell_size)
+    for _, cells, w, Vu, _ in _boundary_faces(space, (tag,)):
         load = np.einsum("q,qa,i->ai", w, Vu, -t_bar * direction).reshape(-1)
         np.add.at(f, space.u_dof_map[cells].reshape(-1),
                   np.tile(load, len(cells)))
@@ -360,18 +360,9 @@ def assemble_traction(space: TaylorHoodSpace, tag: BoundaryTag, t_bar: float,
 
 def assemble_goal_vector(space: TaylorHoodSpace, tag: BoundaryTag) -> np.ndarray:
     """Vector g with g . p = boundary integral of the pressure over ``tag``."""
-    mesh = space.mesh
-    dim = space.dim
-    _require_tag(mesh, tag)
+    _require_tag(space.mesh, tag)
     g = np.zeros(space.n_p)
-    for local_face in range(2 * dim):
-        cells = [c for (c, fc), t in mesh.boundary_facets.items()
-                 if fc == local_face and t is tag]
-        if not cells:
-            continue
-        points, weights = _facet_rule(dim, local_face)
-        w = weights * (mesh.facet_area(local_face) / 2 ** (dim - 1))
-        Vp, _ = _p_tables(points, mesh.cell_size)
+    for _, cells, w, _, Vp in _boundary_faces(space, (tag,)):
         load = np.einsum("q,qa->a", w, Vp)
         np.add.at(g, space.p_node_map[cells].reshape(-1),
                   np.tile(load, len(cells)))

@@ -45,8 +45,6 @@ class StructuredMesh:
     origin: np.ndarray
     extent: np.ndarray
     cells_per_axis: tuple[int, ...]
-    vertex_coords: np.ndarray
-    cell_connectivity: np.ndarray
     boundary_facets: dict[tuple[int, int], BoundaryTag | None]
     # tags the applied tagging scheme may assign; a valid tag can still own
     # zero facets (e.g. Compression on a grid coarser than the patch)
@@ -59,10 +57,6 @@ class StructuredMesh:
     @property
     def n_cells(self) -> int:
         return int(np.prod(self.cells_per_axis))
-
-    @property
-    def n_vertices(self) -> int:
-        return self.vertex_coords.shape[0]
 
     @property
     def cell_size(self) -> np.ndarray:
@@ -119,29 +113,8 @@ def build_structured_mesh(origin, extent, cells_per_axis) -> StructuredMesh:
     if any(n < 1 for n in cells):
         raise ValueError(f"cell counts must be >= 1, got {cells}")
 
-    nv_axis = [n + 1 for n in cells]
-    n_vertices = int(np.prod(nv_axis))
-    ids = np.arange(n_vertices)
-    coords = np.empty((n_vertices, dim))
-    rem = ids
-    for ax in range(dim):
-        coords[:, ax] = origin[ax] + (rem % nv_axis[ax]) * extent[ax] / cells[ax]
-        rem = rem // nv_axis[ax]
-
-    n_cells = int(np.prod(cells))
-    cid = np.arange(n_cells)
-    cell_idx = np.empty((n_cells, dim), dtype=np.int64)
-    rem = cid
-    for ax in range(dim):
-        cell_idx[:, ax] = rem % cells[ax]
-        rem = rem // cells[ax]
-
-    # vertex strides for x-fastest numbering
-    strides = np.cumprod([1] + nv_axis[:-1])
-    corner_offsets = _lex_corners(dim)  # (2^dim, dim) in {0,1}
-    conn = np.zeros((n_cells, 2**dim), dtype=np.int64)
-    for loc, off in enumerate(corner_offsets):
-        conn[:, loc] = (cell_idx + off) @ strides
+    cell_idx = _lex_indices(cells)
+    cid = np.arange(cell_idx.shape[0])
 
     boundary: dict[tuple[int, int], BoundaryTag | None] = {}
     for ax in range(dim):
@@ -151,15 +124,7 @@ def build_structured_mesh(origin, extent, cells_per_axis) -> StructuredMesh:
             for c in on_face:
                 boundary[(int(c), 2 * ax + side)] = None
 
-    return StructuredMesh(origin, extent, cells, coords, conn, boundary)
-
-
-def _lex_corners(dim: int) -> np.ndarray:
-    loc = np.arange(2**dim)
-    out = np.empty((2**dim, dim), dtype=np.int64)
-    for ax in range(dim):
-        out[:, ax] = (loc >> ax) & 1
-    return out
+    return StructuredMesh(origin, extent, cells, boundary)
 
 
 def tag_boundaries(mesh: StructuredMesh, problem_kind: ProblemKind) -> StructuredMesh:
@@ -276,44 +241,27 @@ def build_taylor_hood_space(mesh: StructuredMesh) -> TaylorHoodSpace:
     u_coords = _grid_coords(mesh.origin, h / 2.0, u_grid)
     p_coords = _grid_coords(mesh.origin, h, p_grid)
 
-    n_cells = mesh.n_cells
-    cell_idx = np.empty((n_cells, dim), dtype=np.int64)
-    rem = np.arange(n_cells)
-    for ax in range(dim):
-        cell_idx[:, ax] = rem % cells[ax]
-        rem = rem // cells[ax]
-
-    u_strides = np.cumprod([1] + u_grid[:-1])
-    p_strides = np.cumprod([1] + p_grid[:-1])
-    u_local = _lex_offsets(dim, 3)
-    p_local = _lex_offsets(dim, 2)
-
-    u_map = np.zeros((n_cells, 3**dim), dtype=np.int64)
-    for loc, off in enumerate(u_local):
-        u_map[:, loc] = (2 * cell_idx + off) @ u_strides
-    p_map = np.zeros((n_cells, 2**dim), dtype=np.int64)
-    for loc, off in enumerate(p_local):
-        p_map[:, loc] = (cell_idx + off) @ p_strides
+    # cell multi-index (scaled to the node grid) plus local node offset,
+    # dotted with the node grid's strides; local nodes are numbered x fastest
+    cell_idx = _lex_indices(cells)[:, None, :]
+    u_local = _lex_indices((3,) * dim)[None]
+    p_local = _lex_indices((2,) * dim)[None]
+    u_map = (2 * cell_idx + u_local) @ np.cumprod([1] + u_grid[:-1])
+    p_map = (cell_idx + p_local) @ np.cumprod([1] + p_grid[:-1])
 
     return TaylorHoodSpace(mesh, u_map, p_map, u_coords, p_coords)
 
 
 def _grid_coords(origin, spacing, grid_shape) -> np.ndarray:
-    dim = len(grid_shape)
-    n = int(np.prod(grid_shape))
-    coords = np.empty((n, dim))
+    return origin + _lex_indices(grid_shape) * spacing
+
+
+def _lex_indices(shape) -> np.ndarray:
+    """Multi-indices of a lexicographic numbering with x fastest, (n, dim)."""
+    n = int(np.prod(shape))
+    out = np.empty((n, len(shape)), dtype=np.int64)
     rem = np.arange(n)
-    for ax in range(dim):
-        coords[:, ax] = origin[ax] + (rem % grid_shape[ax]) * spacing[ax]
-        rem = rem // grid_shape[ax]
-    return coords
-
-
-def _lex_offsets(dim: int, per_axis: int) -> np.ndarray:
-    loc = np.arange(per_axis**dim)
-    out = np.empty((per_axis**dim, dim), dtype=np.int64)
-    rem = loc
-    for ax in range(dim):
-        out[:, ax] = rem % per_axis
-        rem = rem // per_axis
+    for ax, size in enumerate(shape):
+        out[:, ax] = rem % size
+        rem = rem // size
     return out

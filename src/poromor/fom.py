@@ -22,7 +22,6 @@ from .linsolve import (Factorization, FactorizationError, LinearSolverConfig,
 
 __all__ = [
     "TimeGrid",
-    "StateVector",
     "Trajectory",
     "StepSystem",
     "run_primal_fom",
@@ -60,13 +59,6 @@ class TimeGrid:
 
 
 @dataclass
-class StateVector:
-    u: np.ndarray
-    p: np.ndarray
-    time_index: int
-
-
-@dataclass
 class Trajectory:
     """Dense state history.
 
@@ -75,7 +67,7 @@ class Trajectory:
     temporal element ``I_{m+1}`` and the last row is the terminal condition
     (zero for a purely time-integrated goal).  ``goal_series`` caches the
     per-step boundary integrand g . p_m for primal runs; when states are not
-    stored only this series and the final state survive.
+    stored only this series survives.
     """
 
     U: np.ndarray | None
@@ -84,7 +76,6 @@ class Trajectory:
     goal_series: np.ndarray | None = None
     wall_time: float = 0.0
     solve_stats: dict = field(default_factory=dict)
-    final_state: StateVector | None = None
 
     def __len__(self) -> int:
         if self.U is not None:
@@ -175,10 +166,13 @@ class StepSystem:
         rhs[self.n_u:] = self._M @ zp_next + self._kg
         return rhs
 
-    def _solve(self, rhs, transpose: bool, x0=None) -> np.ndarray:
+    def _solve(self, rhs, transpose: bool, guess=None) -> np.ndarray:
+        """Solve one step; GMRES starts from the (u, p) pair ``guess``
+        (zero if None), direct solves ignore it."""
         self.solve_count += 1
         matrix = self._working_matrices[1 if transpose else 0]
         if self._lu is None:
+            x0 = None if guess is None else np.concatenate(guess)
             x, iters = gmres_solve(matrix, rhs, self.solver, x0=x0)
             self.iteration_counts.append(iters)
             return x
@@ -198,12 +192,16 @@ class StepSystem:
             x += d * self._lu.solve(residual, transpose=transpose)
         return x
 
-    def solve_primal(self, u_prev, p_prev, x0=None) -> tuple[np.ndarray, np.ndarray]:
-        x = self._solve(self.primal_rhs(u_prev, p_prev), transpose=False, x0=x0)
+    def solve_primal(self, u_prev, p_prev) -> tuple[np.ndarray, np.ndarray]:
+        """One forward step from the previous state, which GMRES starts from."""
+        rhs = self.primal_rhs(u_prev, p_prev)
+        x = self._solve(rhs, transpose=False, guess=(u_prev, p_prev))
         return x[:self.n_u], x[self.n_u:]
 
-    def solve_dual(self, zp_next, x0=None) -> tuple[np.ndarray, np.ndarray]:
-        x = self._solve(self.dual_rhs(zp_next), transpose=True, x0=x0)
+    def solve_dual(self, zu_next, zp_next) -> tuple[np.ndarray, np.ndarray]:
+        """One backward step from the next adjoint state, which GMRES starts from."""
+        rhs = self.dual_rhs(zp_next)
+        x = self._solve(rhs, transpose=True, guess=(zu_next, zp_next))
         return x[:self.n_u], x[self.n_u:]
 
 
@@ -217,20 +215,17 @@ def run_primal_fom(ops: BlockOperators, grid: TimeGrid,
 
     dtype = system.state_dtype if system is not None else np.float64
     goal_series = np.zeros(M + 1)
+    U = P = None
     if store_states:
         U = np.zeros((M + 1, ops.n_u), dtype=dtype)
         P = np.zeros((M + 1, ops.n_p), dtype=dtype)
     u, p = np.zeros(ops.n_u), np.zeros(ops.n_p)
     for m in range(1, M + 1):
-        u, p = system.solve_primal(u, p, x0=np.concatenate([u, p]))
+        u, p = system.solve_primal(u, p)
         goal_series[m] = ops.g_goal @ p
         if store_states:
             U[m], P[m] = u, p
-    if store_states:
-        traj = Trajectory(U, P, "primal", goal_series=goal_series)
-    else:
-        traj = Trajectory(None, None, "primal", goal_series=goal_series,
-                          final_state=StateVector(u, p, M))
+    traj = Trajectory(U, P, "primal", goal_series=goal_series)
     traj.solve_stats = _stats(system)
     traj.wall_time = time.perf_counter() - start
     return traj
@@ -247,7 +242,7 @@ def run_dual_fom(ops: BlockOperators, grid: TimeGrid,
     Zp = np.zeros((M + 1, ops.n_p), dtype=dtype)
     zu, zp = Zu[M], Zp[M]
     for m in range(M - 1, -1, -1):
-        zu, zp = system.solve_dual(zp, x0=np.concatenate([zu, zp]))
+        zu, zp = system.solve_dual(zu, zp)
         Zu[m], Zp[m] = zu, zp
     traj = Trajectory(Zu, Zp, "dual")
     traj.solve_stats = _stats(system)

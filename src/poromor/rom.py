@@ -1,10 +1,11 @@
 """Galerkin projection onto POD bases and reduced time stepping.
 
 Separate bases are kept for displacement and pressure, and separately for
-the primal and dual problems.  Besides the reduced primal/dual step blocks,
-the projection precomputes the estimator cross blocks (dual basis on the
-test side, primal basis on the trial side) so the error estimator never
-lifts to full-order space.
+the primal and dual problems.  The one full-order step system is projected
+onto three basis pairs: primal x primal for the reduced primal sweep, dual x
+dual for the reduced adjoint sweep (which steps its transpose), and dual
+test x primal trial for the error estimator, which therefore never lifts to
+full-order space.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from .fom import TimeGrid
 from .pod import PodBasis
 
 __all__ = [
+    "Projection",
     "ReducedOperators",
     "ReducedTrajectory",
     "DegenerateBasisError",
@@ -51,66 +53,71 @@ class ReducedTrajectory:
 
 
 @dataclass(frozen=True)
-class ReducedOperators:
-    """All projected blocks for one snapshot of the four bases.
+class Projection:
+    """Step-system blocks and vectors projected onto one (test, trial) pair.
 
-    Suffixes: ``_r`` primal-basis blocks, ``_d`` dual-basis blocks for the
-    reduced adjoint (transposed coupling), ``_x`` estimator cross blocks.
+    With test bases (W_u, W_p) and trial bases (V_u, V_p):
+    ``A = W_u^T A_uu V_u``, ``C = W_u^T C_up V_p``, ``D = W_p^T D_pu V_u``,
+    ``M``/``K`` likewise on the pressure bases, ``f = W_u^T f_traction`` and
+    ``g = W_p^T g_goal``.
     """
 
-    # primal Galerkin blocks
-    A_r: np.ndarray
-    C_r: np.ndarray
-    D_r: np.ndarray
-    M_r: np.ndarray
-    K_r: np.ndarray
-    f_r: np.ndarray
-    g_r: np.ndarray
-    # dual Galerkin blocks
-    A_d: np.ndarray
-    DT_d: np.ndarray
-    CT_d: np.ndarray
-    M_d: np.ndarray
-    K_d: np.ndarray
-    g_d: np.ndarray
-    # estimator cross blocks (dual test x primal trial)
-    A_x: np.ndarray
-    C_x: np.ndarray
-    D_x: np.ndarray
-    M_x: np.ndarray
-    K_x: np.ndarray
-    f_x: np.ndarray
+    A: np.ndarray
+    C: np.ndarray
+    D: np.ndarray
+    M: np.ndarray
+    K: np.ndarray
+    f: np.ndarray
+    g: np.ndarray
+
+    def step(self, k: float) -> tuple[np.ndarray, np.ndarray]:
+        """New-state blocks E and transfer T of the reduced step.
+
+        The primal step reads (E + T) x_m = T x_{m-1} + [f; 0] with
+        E = [[A, C], [0, kK]] and T = [[0, 0], [D, M]].
+        """
+        n_test_u, n_trial_u = self.A.shape
+        n_test_p, n_trial_p = self.M.shape
+        E = np.block([[self.A, self.C],
+                      [np.zeros((n_test_p, n_trial_u)), k * self.K]])
+        T = np.block([[np.zeros((n_test_u, n_trial_u + n_trial_p))],
+                      [self.D, self.M]])
+        return E, T
+
+
+@dataclass(frozen=True)
+class ReducedOperators:
+    """The step system projected onto one snapshot of the four bases."""
+
+    primal: Projection  # primal test x primal trial
+    dual: Projection    # dual test x dual trial
+    cross: Projection   # dual test x primal trial (estimator residual)
     versions: tuple[int, int, int, int]
-
-    @property
-    def n_primal_u(self) -> int:
-        return self.A_r.shape[0]
-
-    @property
-    def n_primal_p(self) -> int:
-        return self.M_r.shape[0]
-
-    @property
-    def n_dual_u(self) -> int:
-        return self.A_d.shape[0]
-
-    @property
-    def n_dual_p(self) -> int:
-        return self.M_d.shape[0]
-
-    @property
-    def sizes(self) -> tuple[int, int, int, int]:
-        return (self.n_primal_u, self.n_primal_p, self.n_dual_u, self.n_dual_p)
 
 
 def _sandwich(test: np.ndarray, matrix, trial: np.ndarray) -> np.ndarray:
     return np.asarray(test.T @ (matrix @ trial))
 
 
+def _project(ops: BlockOperators, test: tuple[PodBasis, PodBasis],
+             trial: tuple[PodBasis, PodBasis]) -> Projection:
+    wu, wp = (b.modes for b in test)
+    vu, vp = (b.modes for b in trial)
+    return Projection(
+        A=_sandwich(wu, ops.A_uu, vu),
+        C=_sandwich(wu, ops.C_up, vp),
+        D=_sandwich(wp, ops.D_pu, vu),
+        M=_sandwich(wp, ops.M_pp, vp),
+        K=_sandwich(wp, ops.K_pp, vp),
+        f=wu.T @ ops.f_traction,
+        g=wp.T @ ops.g_goal,
+    )
+
+
 def project_operators(ops: BlockOperators,
                       primal_bases: tuple[PodBasis, PodBasis],
                       dual_bases: tuple[PodBasis, PodBasis]) -> ReducedOperators:
-    """Project every block onto the current bases (cost independent of M)."""
+    """Project the step system onto the current bases (cost independent of M)."""
     pu, pp = primal_bases
     du, dp = dual_bases
     for b in (pu, du):
@@ -121,25 +128,9 @@ def project_operators(ops: BlockOperators,
             raise ValueError("pressure basis row count mismatch")
 
     return ReducedOperators(
-        A_r=_sandwich(pu.modes, ops.A_uu, pu.modes),
-        C_r=_sandwich(pu.modes, ops.C_up, pp.modes),
-        D_r=_sandwich(pp.modes, ops.D_pu, pu.modes),
-        M_r=_sandwich(pp.modes, ops.M_pp, pp.modes),
-        K_r=_sandwich(pp.modes, ops.K_pp, pp.modes),
-        f_r=pu.modes.T @ ops.f_traction,
-        g_r=pp.modes.T @ ops.g_goal,
-        A_d=_sandwich(du.modes, ops.A_uu, du.modes),
-        DT_d=_sandwich(du.modes, ops.D_pu.T, dp.modes),
-        CT_d=_sandwich(dp.modes, ops.C_up.T, du.modes),
-        M_d=_sandwich(dp.modes, ops.M_pp, dp.modes),
-        K_d=_sandwich(dp.modes, ops.K_pp, dp.modes),
-        g_d=dp.modes.T @ ops.g_goal,
-        A_x=_sandwich(du.modes, ops.A_uu, pu.modes),
-        C_x=_sandwich(du.modes, ops.C_up, pp.modes),
-        D_x=_sandwich(dp.modes, ops.D_pu, pu.modes),
-        M_x=_sandwich(dp.modes, ops.M_pp, pp.modes),
-        K_x=_sandwich(dp.modes, ops.K_pp, pp.modes),
-        f_x=du.modes.T @ ops.f_traction,
+        primal=_project(ops, primal_bases, primal_bases),
+        dual=_project(ops, dual_bases, dual_bases),
+        cross=_project(ops, dual_bases, primal_bases),
         versions=(pu.version, pp.version, du.version, dp.version),
     )
 
@@ -192,27 +183,24 @@ def _sweep(S: np.ndarray, T: np.ndarray, load: np.ndarray, rows: range,
 
 def solve_primal_rom(red: ReducedOperators, grid: TimeGrid) -> ReducedTrajectory:
     """Reduced primal sweep from the zero initial condition."""
-    nu, np_ = red.n_primal_u, red.n_primal_p
-    k = grid.k
-    S = np.block([[red.A_r, red.C_r],
-                  [red.D_r, red.M_r + k * red.K_r]])
-    T = np.block([[np.zeros((nu, nu)), np.zeros((nu, np_))],
-                  [red.D_r, red.M_r]])
-    load = np.concatenate([red.f_r, np.zeros(np_)])
-    U, P = _sweep(S, T, load, range(1, grid.num_elements + 1), nu)
+    proj = red.primal
+    E, T = proj.step(grid.k)
+    load = np.concatenate([proj.f, np.zeros(proj.M.shape[0])])
+    U, P = _sweep(E + T, T, load, range(1, grid.num_elements + 1),
+                  proj.A.shape[0])
     return ReducedTrajectory(U, P, "primal", red.versions)
 
 
 def solve_dual_rom(red: ReducedOperators, grid: TimeGrid) -> ReducedTrajectory:
-    """Reduced adjoint sweep backward from the zero terminal condition."""
-    nu, np_ = red.n_dual_u, red.n_dual_p
-    k = grid.k
-    S = np.block([[red.A_d, red.DT_d],
-                  [red.CT_d, red.M_d + k * red.K_d]])
-    T = np.block([[np.zeros((nu, nu)), red.DT_d],
-                  [np.zeros((np_, nu)), red.M_d]])
-    load = np.concatenate([np.zeros(nu), k * red.g_d])
-    Zu, Zp = _sweep(S, T, load, range(grid.num_elements - 1, -1, -1), nu)
+    """Reduced adjoint sweep backward from the zero terminal condition.
+
+    Steps the transposed reduced system (E + T)^T z_m = T^T z_{m+1} + [0; kg].
+    """
+    proj = red.dual
+    E, T = proj.step(grid.k)
+    load = np.concatenate([np.zeros(proj.A.shape[0]), grid.k * proj.g])
+    Zu, Zp = _sweep((E + T).T, T.T, load,
+                    range(grid.num_elements - 1, -1, -1), proj.A.shape[0])
     return ReducedTrajectory(Zu, Zp, "dual", red.versions)
 
 
@@ -228,7 +216,7 @@ def lift(coeffs: np.ndarray, basis: PodBasis) -> np.ndarray:
 def reduced_goal_series(red: ReducedOperators,
                         traj: ReducedTrajectory) -> np.ndarray:
     """Per-row boundary integrand g . p_m evaluated in reduced coordinates."""
-    return traj.P @ red.g_r
+    return traj.P @ red.primal.g
 
 
 def reduced_goal(red: ReducedOperators, traj: ReducedTrajectory,

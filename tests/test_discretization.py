@@ -10,20 +10,20 @@ from poromor.discretization import (BoundaryTag, ProblemKind,
 
 def test_single_cell_mesh():
     mesh = build_structured_mesh((0.0, 0.0), (1.0, 1.0), (1, 1))
-    assert mesh.n_vertices == 4
+    assert build_taylor_hood_space(mesh).n_p == 4
     assert mesh.n_cells == 1
     assert len(mesh.boundary_facets) == 4
 
 
 def test_mandel_vertex_count():
     mesh = build_structured_mesh((0.0, 0.0), (100.0, 20.0), (80, 16))
-    assert mesh.n_vertices == 81 * 17 == 1377
+    assert build_taylor_hood_space(mesh).n_p == 81 * 17 == 1377
 
 
 def test_footing_vertex_count():
     mesh = build_structured_mesh((-32.0, -32.0, 0.0), (64.0, 64.0, 64.0),
                                  (16, 16, 16))
-    assert mesh.n_vertices == 17**3 == 4913
+    assert build_taylor_hood_space(mesh).n_p == 17**3 == 4913
 
 
 @pytest.mark.parametrize("origin,extent,cells", [
@@ -39,12 +39,13 @@ def test_invalid_mesh_arguments(origin, extent, cells):
 
 def test_vertices_inside_box():
     mesh = build_structured_mesh((-1.0, 2.0, 0.5), (2.0, 3.0, 1.0), (3, 2, 4))
+    space = build_taylor_hood_space(mesh)
     lo = mesh.origin
     hi = mesh.origin + mesh.extent
-    assert np.all(mesh.vertex_coords >= lo - 1e-12)
-    assert np.all(mesh.vertex_coords <= hi + 1e-12)
+    assert np.all(space.p_node_coords >= lo - 1e-12)
+    assert np.all(space.p_node_coords <= hi + 1e-12)
     assert mesh.n_cells == 24
-    assert mesh.cell_connectivity.shape == (24, 8)
+    assert space.p_node_map.shape == (24, 8)
 
 
 def test_mandel_tags_single_cell():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import make_identity_basis, truncated_pod_basis
+from poromor import estimator
 from poromor.estimator import (DegenerateNormalizationError,
                                StaleOperatorsError, build_report, effectivity,
                                estimate_elementwise, global_relative,
@@ -111,6 +112,26 @@ def test_estimates_invariant_under_mode_permutation(mandel_small,
     permuted = run(np.array([2, 0, 1]))
     scale = np.abs(base).max()
     np.testing.assert_allclose(base, permuted, atol=1e-9 * scale, rtol=2e-9)
+
+
+def test_blocked_evaluation_matches_single_block(mandel_small,
+                                                  mandel_small_fom,
+                                                  monkeypatch):
+    # blocks of 7 over 20 elements: each block reads the state row before it
+    _, ops, grid = mandel_small
+    primal_fom, dual_fom, _ = mandel_small_fom
+    pu = truncated_pod_basis(np.asarray(primal_fom.U[1:].T, float), 2)
+    pp = truncated_pod_basis(np.asarray(primal_fom.P[1:].T, float), 3)
+    du = truncated_pod_basis(np.asarray(dual_fom.U[:-1].T, float), 4)
+    dp = truncated_pod_basis(np.asarray(dual_fom.P[:-1].T, float), 3)
+    red = project_operators(ops, (pu, pp), (du, dp))
+    primal = solve_primal_rom(red, grid)
+    dual = solve_dual_rom(red, grid)
+    whole = estimate_elementwise(red, primal, dual, grid)
+    monkeypatch.setattr(estimator, "ESTIMATE_BLOCK", 7)
+    blocked = estimate_elementwise(red, primal, dual, grid)
+    scale = np.abs(whole).max()
+    np.testing.assert_allclose(blocked, whole, atol=1e-12 * scale, rtol=1e-12)
 
 
 def test_staleness_error(mandel_small):
