@@ -166,14 +166,14 @@ class StepSystem:
         rhs[self.n_u:] = self._M @ zp_next + self._kg
         return rhs
 
-    def _solve(self, rhs, transpose: bool, guess=None) -> np.ndarray:
-        """Solve one step; GMRES starts from the (u, p) pair ``guess``
-        (zero if None), direct solves ignore it."""
+    def _solve(self, rhs, transpose: bool, guess) -> np.ndarray:
+        """Solve one step; GMRES starts from the (u, p) pair ``guess``,
+        direct solves ignore it."""
         self.solve_count += 1
         matrix = self._working_matrices[1 if transpose else 0]
         if self._lu is None:
-            x0 = None if guess is None else np.concatenate(guess)
-            x, iters = gmres_solve(matrix, rhs, self.solver, x0=x0)
+            x, iters = gmres_solve(matrix, rhs, self.solver,
+                                   x0=np.concatenate(guess))
             self.iteration_counts.append(iters)
             return x
         d = self._scale

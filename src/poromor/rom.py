@@ -35,6 +35,11 @@ __all__ = [
 ]
 
 
+# rows per GEMM of the reduced sweep: OpenBLAS's packing buffers grow with the
+# row count of a product and stay resident, so longer blocks raise peak memory
+SWEEP_BLOCK = 512
+
+
 class DegenerateBasisError(RuntimeError):
     """Reduced step matrix is singular for the current bases."""
 
@@ -95,20 +100,25 @@ class ReducedOperators:
     versions: tuple[int, int, int, int]
 
 
-def _sandwich(test: np.ndarray, matrix, trial: np.ndarray) -> np.ndarray:
-    return np.asarray(test.T @ (matrix @ trial))
+def _apply(ops: BlockOperators,
+           trial: tuple[PodBasis, PodBasis]) -> tuple[np.ndarray, ...]:
+    """Sparse blocks times the trial modes, in ``Projection``'s field order."""
+    vu, vp = (b.modes for b in trial)
+    return (ops.A_uu @ vu, ops.C_up @ vp, ops.D_pu @ vu, ops.M_pp @ vp,
+            ops.K_pp @ vp)
 
 
 def _project(ops: BlockOperators, test: tuple[PodBasis, PodBasis],
-             trial: tuple[PodBasis, PodBasis]) -> Projection:
+             applied: tuple[np.ndarray, ...]) -> Projection:
+    """Project onto ``test`` the trial images returned by ``_apply``."""
     wu, wp = (b.modes for b in test)
-    vu, vp = (b.modes for b in trial)
+    A, C, D, M, K = applied
     return Projection(
-        A=_sandwich(wu, ops.A_uu, vu),
-        C=_sandwich(wu, ops.C_up, vp),
-        D=_sandwich(wp, ops.D_pu, vu),
-        M=_sandwich(wp, ops.M_pp, vp),
-        K=_sandwich(wp, ops.K_pp, vp),
+        A=wu.T @ A,
+        C=wu.T @ C,
+        D=wp.T @ D,
+        M=wp.T @ M,
+        K=wp.T @ K,
         f=wu.T @ ops.f_traction,
         g=wp.T @ ops.g_goal,
     )
@@ -127,10 +137,12 @@ def project_operators(ops: BlockOperators,
         if b.n != ops.n_p:
             raise ValueError("pressure basis row count mismatch")
 
+    # primal and cross share their trial bases, so their images are formed once
+    applied = _apply(ops, primal_bases)
     return ReducedOperators(
-        primal=_project(ops, primal_bases, primal_bases),
-        dual=_project(ops, dual_bases, dual_bases),
-        cross=_project(ops, dual_bases, primal_bases),
+        primal=_project(ops, primal_bases, applied),
+        dual=_project(ops, dual_bases, _apply(ops, dual_bases)),
+        cross=_project(ops, dual_bases, applied),
         versions=(pu.version, pp.version, du.version, dp.version),
     )
 
@@ -165,20 +177,34 @@ def _sweep(S: np.ndarray, T: np.ndarray, load: np.ndarray, rows: range,
            n_u: int) -> tuple[np.ndarray, np.ndarray]:
     """Iterate S x_m = T x_prev + load over ``rows``, from a zero state.
 
+    ``rows`` is ascending from 1 (primal) or descending to 0 (dual).
     Returns the (len(rows) + 1)-row displacement and pressure coefficient
     arrays; the row outside ``rows`` keeps the zero initial/terminal state.
+
+    From zero the j-th iterate is the prefix sum s_j = sum_{i<j} G^i h, and
+    s_{n+j} = G^n s_j + s_n, so the iterates are evaluated by recursive
+    doubling: about log2(len(rows)) doublings, each a product with G^n in
+    GEMMs of at most SWEEP_BLOCK rows.
     """
-    n_rows = len(rows) + 1
-    U = np.zeros((n_rows, n_u))
-    P = np.zeros((n_rows, S.shape[0] - n_u))
+    X = np.zeros((len(rows) + 1, S.shape[0]))
     if S.size > 0 and len(rows) > 0:
         G, h, d = _propagator(S, T, load)
-        y = np.zeros(S.shape[0])
-        for m in rows:
-            y = G @ y + h
-            x = d * y
-            U[m], P[m] = x[:n_u], x[n_u:]
-    return U, P
+        # basic-slice view of the sweep rows in step order; a stop of -1
+        # would wrap around, so a descending sweep to row 0 stops at None
+        Y = X[rows.start:rows.stop if rows.stop >= 0 else None:rows.step]
+        Y[0] = h
+        power, n = G, 1
+        while n < len(Y):
+            block = min(n, len(Y) - n)
+            for lo in range(0, block, SWEEP_BLOCK):
+                hi = min(lo + SWEEP_BLOCK, block)
+                np.matmul(Y[lo:hi], power.T, out=Y[n + lo:n + hi])
+            Y[n:n + block] += Y[n - 1]
+            n += block
+            if n < len(Y):
+                power = power @ power
+        X *= d
+    return X[:, :n_u], X[:, n_u:]
 
 
 def solve_primal_rom(red: ReducedOperators, grid: TimeGrid) -> ReducedTrajectory:

@@ -366,9 +366,10 @@ def test_material_validation():
 def test_step_matrix_invertible_after_constraints(mandel_small):
     _, ops, grid = mandel_small
     from poromor.fom import StepSystem
+    from poromor.linsolve import Factorization
 
     system = StepSystem(ops, grid.k)
     n = ops.n_u + ops.n_p
     rhs = np.arange(1.0, n + 1.0)
-    x = system._solve(rhs, transpose=False)
+    x = Factorization(system.matrix).solve(rhs)
     assert np.linalg.norm(system.matrix @ x - rhs) <= 1e-8 * np.linalg.norm(rhs)

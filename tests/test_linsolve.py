@@ -67,8 +67,9 @@ def test_gmres_zero_rhs():
 def test_gmres_matches_direct_on_step_system(mandel_small):
     _, ops, grid = mandel_small
     direct = StepSystem(ops, grid.k)
-    rhs = direct.primal_rhs(np.zeros(ops.n_u), np.zeros(ops.n_p))
-    x_direct = direct._solve(rhs, transpose=False)
+    zeros = np.zeros(ops.n_u), np.zeros(ops.n_p)
+    rhs = direct.primal_rhs(*zeros)
+    x_direct = np.concatenate(direct.solve_primal(*zeros))
     x_gmres, iters = gmres_solve(direct.matrix, rhs, GMRES_CFG)
     assert iters > 0
     rel = np.abs(x_gmres - x_direct).max() / np.abs(x_direct).max()
@@ -96,8 +97,9 @@ def test_gmres_matches_direct_footing_3d():
     spec = footing_spec(cells=(4, 4, 4), steps=2)
     ops, grid = build_problem(spec)
     direct = StepSystem(ops, grid.k)
-    rhs = direct.primal_rhs(np.zeros(ops.n_u), np.zeros(ops.n_p))
-    x_direct = direct._solve(rhs, transpose=False)
+    zeros = np.zeros(ops.n_u), np.zeros(ops.n_p)
+    rhs = direct.primal_rhs(*zeros)
+    x_direct = np.concatenate(direct.solve_primal(*zeros))
     x_gmres, _ = gmres_solve(direct.matrix, rhs, GMRES_CFG)
     rel = np.abs(x_gmres - np.asarray(x_direct, dtype=float)).max() / np.abs(x_direct).max()
     assert rel < 1e-6

@@ -7,9 +7,9 @@ from conftest import make_identity_basis, truncated_pod_basis
 from poromor.fom import evaluate_goal, run_dual_fom, run_primal_fom
 from poromor.pod import PodBasis
 from poromor.problems import build_problem, mandel_spec
-from poromor.rom import (DegenerateBasisError, ReducedTrajectory, lift,
-                         project_operators, reduced_goal, solve_dual_rom,
-                         solve_primal_rom)
+from poromor.rom import (DegenerateBasisError, ReducedTrajectory, _propagator,
+                         _sweep, lift, project_operators, reduced_goal,
+                         solve_dual_rom, solve_primal_rom)
 
 
 def identity_bases(ops):
@@ -193,3 +193,39 @@ def test_trajectory_row_conventions(mandel_small):
     assert len(traj) == grid.num_elements + 1
     assert np.abs(traj.U[0]).max() == 0.0      # initial condition row
     assert np.abs(dtraj.P[-1]).max() == 0.0    # terminal condition row
+
+
+@pytest.mark.parametrize("order", ["primal", "dual"])
+@pytest.mark.parametrize("length", [0, 1, 2, 3, 5, 8, 1000, 2000])
+def test_sweep_matches_stepwise_recurrence(order, length):
+    # the doubling sweep against the explicit x_m = G x_{m-1} + h loop, for
+    # lengths that are not powers of two (a clipped last block), a doubling
+    # longer than SWEEP_BLOCK (2000) and both row orders; the row outside
+    # the sweep keeps the zero state exactly
+    rng = np.random.default_rng(length)
+    n, n_u = 7, 4
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    # spectral radius near 1, so that G^1024 still moves the last rows
+    eigenvalues = rng.choice([-1.0, 1.0], n) * rng.uniform(0.9, 0.999, n)
+    contraction = q @ np.diag(eigenvalues) @ q.T
+    S = np.diag(10.0 ** rng.uniform(-2, 2, n)) + 1e-3 * rng.standard_normal((n, n))
+    T = S @ contraction
+    load = rng.standard_normal(n)
+    G, h, d = _propagator(S, T, load)
+    assert np.ptp(d) > 1.0  # the scaling is not trivial
+
+    if order == "primal":
+        rows, outside = range(1, length + 1), 0
+    else:
+        rows, outside = range(length - 1, -1, -1), length
+    want = np.zeros((length + 1, n))
+    y = np.zeros(n)
+    for m in rows:
+        y = G @ y + h
+        want[m] = d * y
+
+    U, P = _sweep(S, T, load, rows, n_u)
+    got = np.hstack([U, P])
+    assert got.shape == want.shape
+    assert np.all(got[outside] == 0.0)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
