@@ -1,8 +1,10 @@
 """Linear solvers for the monolithic step systems.
 
 Two paths: sparse LU factorization (reused across all time steps, with
-transpose solves for the dual problem) and restarted GMRES with a Jacobi
-preconditioner for the large 3D systems.
+transpose solves for the dual problem) and restarted GMRES with a left
+Jacobi preconditioner for the large 3D systems.  The GMRES iteration is
+local (``_gmres``): it computes bitwise what scipy's ``gmres`` computes,
+without that function's per-iteration Python overhead.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from enum import Enum
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import get_lapack_funcs
 
 __all__ = [
     "SolverMethod",
@@ -95,9 +98,9 @@ def gmres_solve(matrix: sp.spmatrix, rhs: np.ndarray,
 
     Convergence is measured on the preconditioned residual relative to the
     preconditioned right-hand side; the plain relative residual is verified
-    to stay within 10x the tolerance.  The preconditioned system is handed
-    to the backend explicitly so its stopping rule is exactly this
-    criterion, which keeps warm starts cheap.
+    to stay within 10x the tolerance.  GMRES runs on the preconditioned
+    operator, so the residual it minimizes and stops on is the one this
+    criterion measures, which keeps warm starts cheap.
     """
     config.validate()
     if matrix.shape[0] != matrix.shape[1]:
@@ -114,8 +117,7 @@ def gmres_solve(matrix: sp.spmatrix, rhs: np.ndarray,
         prec = lambda v: v / diag  # noqa: E731
     else:
         prec = lambda v: v  # noqa: E731
-    n = matrix.shape[0]
-    op = spla.LinearOperator((n, n), matvec=lambda v: prec(matrix @ v))
+    op = lambda v: prec(matrix @ v)  # noqa: E731
     b_prec = prec(rhs)
     norm_mb = np.linalg.norm(b_prec)
 
@@ -129,11 +131,8 @@ def gmres_solve(matrix: sp.spmatrix, rhs: np.ndarray,
         if remaining <= 0:
             break
         cycles = max(1, math.ceil(remaining / config.gmres_restart))
-        counter = _IterationCounter()
-        x, _ = spla.gmres(op, b_prec, x0=x, rtol=rtol, atol=0.0,
-                          restart=config.gmres_restart, maxiter=cycles,
-                          callback=counter, callback_type="pr_norm")
-        iterations += counter.count
+        x, inner = _gmres(op, b_prec, x, rtol, config.gmres_restart, cycles)
+        iterations += inner
         r = rhs - matrix @ x
         rel_plain = np.linalg.norm(r) / norm_b
         rel_prec = np.linalg.norm(prec(r)) / norm_mb
@@ -148,9 +147,104 @@ def gmres_solve(matrix: sp.spmatrix, rhs: np.ndarray,
         residual=residual, iterations=iterations)
 
 
-class _IterationCounter:
-    def __init__(self):
-        self.count = 0
+def _gmres(matvec, b, x0, rtol, restart, maxiter):
+    """Restarted GMRES (Saad & Schultz 1986) for ``matvec(x) = b``.
 
-    def __call__(self, _pr_norm):
-        self.count += 1
+    Runs at most ``maxiter`` cycles of ``restart`` Arnoldi steps and stops
+    after the first cycle whose residual is at most ``rtol * |b|`` (or that
+    breaks down); returns the iterate and the number of Arnoldi steps
+    taken.  Derived from the real case of scipy's BSD-licensed ``gmres``
+    (``scipy.sparse.linalg``, 1.17) with ``atol=0`` and no preconditioner,
+    operation for operation: modified Gram-Schmidt on row-stored basis
+    vectors, LAPACK ``lartg`` rotations, the gh-8400 control of the inner
+    tolerance ``ptol`` and the same back substitution, so the iterates are
+    bitwise scipy's.  Two things differ without changing any rounding: the
+    earlier rotations are applied to the new Hessenberg column on Python
+    floats instead of through numpy fancy indexing, and the Gram-Schmidt
+    updates go through one preallocated buffer instead of a temporary per
+    basis vector.
+    """
+    n = b.shape[0]
+    x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
+    eps = np.finfo(float).eps
+    restart = min(restart, n)
+    bnrm2 = np.linalg.norm(b)
+    atol = rtol * bnrm2
+    ptol_max_factor = 1.0
+    ptol = bnrm2 * min(ptol_max_factor, atol / bnrm2)
+    lartg = get_lapack_funcs("lartg", dtype=x.dtype)
+
+    v = np.empty((restart + 1, n))
+    h = np.zeros((restart, restart + 1))
+    buf = np.empty(n)
+    iterations = 0
+    r = b - matvec(x) if x.any() else b
+    if np.linalg.norm(r) < atol:
+        return x, 0
+    for _ in range(maxiter):
+        v[0] = r
+        tmp = np.linalg.norm(v[0])
+        v[0] *= 1 / tmp
+        # right-hand side of the least-squares problem, rotated with h
+        S = [0.0] * (restart + 1)
+        S[0] = tmp
+        givens = []
+
+        breakdown = False
+        for col in range(restart):
+            w = matvec(v[col])
+            h0 = np.linalg.norm(w)
+            for k, vk in enumerate(v[:col + 1]):
+                tmp = vk.dot(w)
+                h[col, k] = tmp
+                np.multiply(vk, tmp, out=buf)
+                np.subtract(w, buf, out=w)
+            h1 = np.linalg.norm(w)
+            v[col + 1] = w
+            if h1 <= eps * h0:  # exact solution
+                h1 = 0.0
+                breakdown = True
+            else:
+                v[col + 1] *= 1 / h1
+
+            hc = h[col, :col + 1].tolist() + [h1]
+            for k, (c, s) in enumerate(givens):
+                n0, n1 = hc[k], hc[k + 1]
+                hc[k] = c * n0 + s * n1
+                hc[k + 1] = -s * n0 + c * n1
+            c, s, mag = lartg(hc[col], hc[col + 1])
+            givens.append((c, s))
+            hc[col], hc[col + 1] = mag, 0.0
+            h[col, :col + 2] = hc
+
+            tmp = -s * S[col]
+            S[col], S[col + 1] = c * S[col], tmp
+            presid = abs(tmp)
+            iterations += 1
+            if presid <= ptol or breakdown:
+                break
+
+        # back substitution on the triangular h[:col+1, :col+1].T, passing
+        # over a zero pivot
+        if h[col, col] == 0:
+            S[col] = 0.0
+        y = np.array(S[:col + 1])
+        for k in range(col, 0, -1):
+            if y[k] != 0:
+                y[k] /= h[k, k]
+                tmp = y[k]
+                y[:k] -= tmp * h[k, :k]
+        if y[0] != 0:
+            y[0] /= h[0, 0]
+        x += y @ v[:col + 1]
+
+        r = b - matvec(x)
+        rnorm = np.linalg.norm(r)
+        if rnorm <= atol or breakdown:
+            break
+        if presid <= ptol:
+            ptol_max_factor = max(eps, 0.25 * ptol_max_factor)
+        else:
+            ptol_max_factor = min(1.0, 1.5 * ptol_max_factor)
+        ptol = presid * min(ptol_max_factor, atol / rnorm)
+    return x, iterations

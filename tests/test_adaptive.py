@@ -149,22 +149,24 @@ def test_config_validation():
 
 
 # Iteration logs of the three StepSystem paths at tol 1%: extended-precision
-# direct (n <= EXTENDED_REFINE_LIMIT), double direct, and GMRES.
+# direct (n <= EXTENDED_REFINE_LIMIT), double direct, and GMRES, whose mean
+# iteration count over the run's solves is pinned as well.
 PINNED_LOGS = [
     ((4, 2), 20, "direct", np.longdouble,
-     37, (3, 5, 4, 5), [20, 4, 2, 6, 3, 9], 84963626338939.14),
+     37, (3, 5, 4, 5), [20, 4, 2, 6, 3, 9], 84963626338939.14, None),
     ((80, 16), 40, "direct", np.float64,
-     37, (3, 6, 6, 6), [40, 5, 8, 2, 10, 17], 86665078985953.23),
+     37, (3, 6, 6, 6), [40, 5, 8, 2, 10, 17], 86665078985953.23, None),
     ((4, 2), 20, "gmres", np.float64,
-     37, (3, 5, 4, 5), [20, 4, 2, 6, 3, 9], 84963570003940.44),
+     37, (3, 5, 4, 5), [20, 4, 2, 6, 3, 9], 84963570003940.44,
+     76.54054054054055),
 ]
 
 
 @pytest.mark.parametrize(
-    "cells, steps, method, dtype, fom_solves, sizes, m_max, J_pinned",
-    PINNED_LOGS, ids=["extended-direct", "double-direct", "gmres"])
+    "cells, steps, method, dtype, fom_solves, sizes, m_max, J_pinned, "
+    "gmres_mean", PINNED_LOGS, ids=["extended-direct", "double-direct", "gmres"])
 def test_iteration_logs_pinned(cells, steps, method, dtype, fom_solves, sizes,
-                               m_max, J_pinned):
+                               m_max, J_pinned, gmres_mean):
     spec = mandel_spec(cells=cells, steps=steps)
     spec.solver = dataclasses.replace(spec.solver, method=SolverMethod(method))
     ops, grid = build_problem(spec)
@@ -178,3 +180,4 @@ def test_iteration_logs_pinned(cells, steps, method, dtype, fom_solves, sizes,
     assert record.fom_solves == fom_solves
     assert record.basis_sizes == sizes
     assert [log.m_max for log in record.iterations] == m_max
+    assert record.gmres_mean_iterations == gmres_mean

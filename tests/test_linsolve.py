@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from poromor.fom import StepSystem
 from poromor.linsolve import (ConvergenceError, Factorization,
                               FactorizationError, LinearSolverConfig,
-                              Preconditioner, SolverMethod, gmres_solve)
+                              Preconditioner, SolverMethod, _gmres,
+                              gmres_solve)
 from poromor.problems import build_problem, mandel_spec
 
 GMRES_CFG = LinearSolverConfig(method=SolverMethod.GMRES,
@@ -103,6 +105,39 @@ def test_gmres_matches_direct_footing_3d():
     x_gmres, _ = gmres_solve(direct.matrix, rhs, GMRES_CFG)
     rel = np.abs(x_gmres - np.asarray(x_direct, dtype=float)).max() / np.abs(x_direct).max()
     assert rel < 1e-6
+
+
+# (perturbation of the direct solution as start or None, rtol, restart).
+# The restart-5 case runs 16 cycles (76 iterations) and takes both branches
+# of scipy's ptol_max_factor update: 12 cycles end on the restart length and
+# 3 pass the inner tolerance but not the outer one before the last converges.
+SCIPY_CASES = [(None, 5e-8, 100), (1e-3, 5e-8, 100), (1e-12, 3e-10, 5)]
+
+
+@pytest.mark.parametrize("perturbation, rtol, restart", SCIPY_CASES,
+                         ids=["zero-start", "warm-start", "restart-5"])
+def test_gmres_bitwise_scipy(mandel_small, perturbation, rtol, restart):
+    _, ops, grid = mandel_small
+    system = StepSystem(ops, grid.k)
+    diag = system.matrix.diagonal()
+    matvec = lambda v: (system.matrix @ v) / diag  # noqa: E731
+    zeros = np.zeros(ops.n_u), np.zeros(ops.n_p)
+    b = np.asarray(system.primal_rhs(*zeros), dtype=float) / diag
+    x0 = None
+    if perturbation is not None:
+        x_direct = np.concatenate(system.solve_primal(*zeros)).astype(float)
+        noise = np.random.default_rng(0).standard_normal(x_direct.shape)
+        x0 = x_direct * (1.0 + perturbation * noise)
+
+    x, iterations = _gmres(matvec, b, x0, rtol, restart, 100)
+    residuals = []
+    op = spla.LinearOperator(system.matrix.shape, matvec=matvec)
+    x_scipy, _ = spla.gmres(op, b, x0=x0, rtol=rtol, atol=0.0,
+                            restart=restart, maxiter=100,
+                            callback=residuals.append,
+                            callback_type="pr_norm")
+    assert iterations == len(residuals)
+    assert np.array_equal(x, x_scipy)
 
 
 def test_gmres_nonconvergence_error():
