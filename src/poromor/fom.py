@@ -96,6 +96,8 @@ class StepSystem:
     flow-row defects by ~1e12, so even the double rounding of the flow block
     M + k*K or of a stored state shows up in the estimate; trajectories
     stored at this precision keep the step defects at the refinement floor.
+    Every solve starts from the state it steps from: GMRES iterates from
+    it and direct solves refine it.
     """
 
     def __init__(self, ops: BlockOperators, k: float,
@@ -167,39 +169,40 @@ class StepSystem:
         return rhs
 
     def _solve(self, rhs, transpose: bool, guess) -> np.ndarray:
-        """Solve one step; GMRES starts from the (u, p) pair ``guess``,
-        direct solves ignore it."""
+        """Solve one step from the (u, p) pair ``guess``: GMRES starts from
+        it, direct solves refine it."""
         self.solve_count += 1
         matrix = self._working_matrices[1 if transpose else 0]
+        x = np.concatenate(guess)
         if self._lu is None:
-            x, iters = gmres_solve(matrix, rhs, self.solver,
-                                   x0=np.concatenate(guess))
+            x, iters = gmres_solve(matrix, rhs, self.solver, x0=x)
             self.iteration_counts.append(iters)
             return x
         d = self._scale
-        x = d * self._lu.solve(np.asarray(d * rhs, dtype=np.float64),
-                               transpose=transpose)
         x = x.astype(self.state_dtype, copy=False)
-        # iterative refinement; the dual-weighted estimator resolves goal
-        # errors ~1e-8 relative and sees raw LU defects.  In long double one
-        # pass already brings the scaled step residual to its floor (1.1e-18
-        # against 9.1e-19 after two on Mandel 4x2/20), but the second pass
-        # halves the exact-error identity's deviation (criterion 3: 2.9e-9
-        # with one pass, 1.2e-9 with two), which keeps its 1e-8 bound at
-        # the 5x margin that the DWR identities are held to.
+        # iterative refinement from the guess: each pass solves S dx = rhs - S x
+        # for the increment, so from the zero state the first pass is a plain
+        # LU solve.  The dual-weighted estimator resolves goal errors ~1e-8
+        # relative and sees raw LU defects.  In double one pass reaches the
+        # refinement floor (scaled step residual 2.5e-14, median over Mandel
+        # 80x16).  In long double on Mandel 4x2/20 one pass leaves 1.6e-15
+        # and two reach the floor (1.2e-18); the exact-error identity
+        # (criterion 3) reads 4.6e-9 after one pass and 1.3e-9 after two,
+        # which keeps its 1e-8 bound at the 5x margin that the DWR identities
+        # are held to.
         for _ in range(self._passes):
             residual = np.asarray(d * (rhs - matrix @ x), dtype=np.float64)
             x += d * self._lu.solve(residual, transpose=transpose)
         return x
 
     def solve_primal(self, u_prev, p_prev) -> tuple[np.ndarray, np.ndarray]:
-        """One forward step from the previous state, which GMRES starts from."""
+        """One forward step, started from the previous state."""
         rhs = self.primal_rhs(u_prev, p_prev)
         x = self._solve(rhs, transpose=False, guess=(u_prev, p_prev))
         return x[:self.n_u], x[self.n_u:]
 
     def solve_dual(self, zu_next, zp_next) -> tuple[np.ndarray, np.ndarray]:
-        """One backward step from the next adjoint state, which GMRES starts from."""
+        """One backward step, started from the next adjoint state."""
         rhs = self.dual_rhs(zp_next)
         x = self._solve(rhs, transpose=True, guess=(zu_next, zp_next))
         return x[:self.n_u], x[self.n_u:]

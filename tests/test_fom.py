@@ -3,8 +3,10 @@ import dataclasses
 import numpy as np
 import pytest
 
-from poromor.fom import (StepSystem, TimeGrid, evaluate_goal, run_dual_fom,
-                         run_primal_fom, Trajectory)
+from poromor.fom import (EXTENDED_REFINE_LIMIT, StepSystem, TimeGrid,
+                         evaluate_goal, run_dual_fom, run_primal_fom,
+                         Trajectory)
+from poromor.linsolve import Factorization
 from poromor.problems import build_problem, footing_spec, mandel_spec
 
 
@@ -115,6 +117,69 @@ def test_dual_step_function(mandel_small):
     full = run_dual_fom(ops, grid)
     np.testing.assert_allclose(zp, full.P[grid.num_elements - 1],
                                rtol=1e-12, atol=0)
+
+
+@pytest.fixture(scope="module")
+def mandel_double():
+    """Mandel 60x12: past EXTENDED_REFINE_LIMIT, so direct steps run in double."""
+    spec = mandel_spec(cells=(60, 12), steps=20)
+    ops, grid = build_problem(spec)
+    assert ops.n_u + ops.n_p > EXTENDED_REFINE_LIMIT
+    return spec, ops, grid
+
+
+@pytest.mark.parametrize("problem, dtype, lu_solves", [
+    ("mandel_small", np.longdouble, 2),
+    ("mandel_double", np.float64, 1),
+], ids=["extended", "double"])
+def test_direct_step_lu_solves(problem, dtype, lu_solves, request,
+                               monkeypatch):
+    # each step is refined from the previous state: one LU solve per
+    # refinement pass and no cold solve before them
+    _, ops, grid = request.getfixturevalue(problem)
+    system = StepSystem(ops, grid.k)
+    assert system.state_dtype is dtype
+    calls = []
+    solve = Factorization.solve
+
+    def counted(self, rhs, transpose=False):
+        calls.append(transpose)
+        return solve(self, rhs, transpose=transpose)
+
+    monkeypatch.setattr(Factorization, "solve", counted)
+    system.solve_primal(np.zeros(ops.n_u), np.zeros(ops.n_p))
+    assert calls == [False] * lu_solves
+    calls.clear()
+    system.solve_dual(np.zeros(ops.n_u), np.zeros(ops.n_p))
+    assert calls == [True] * lu_solves
+
+
+@pytest.mark.parametrize("transpose", [False, True], ids=["primal", "dual"])
+@pytest.mark.parametrize("problem, bound", [
+    ("mandel_small", 5e-17),
+    ("mandel_double", 2e-10),
+], ids=["extended", "double"])
+def test_direct_step_from_far_guess(problem, bound, transpose, request):
+    # an adaptive run starts enrichment steps from lifted reduced states;
+    # a guess 100 times the solution's size, far past the distances those
+    # reach, must refine to the step solved from zero.  Measured over 20
+    # guesses: up to 6.0e-18 relative in long double, 3.6e-11 in double.
+    _, ops, grid = request.getfixturevalue(problem)
+    system = StepSystem(ops, grid.k)
+    zeros = (np.zeros(ops.n_u), np.zeros(ops.n_p))
+    if transpose:
+        _, zp = system.solve_dual(*zeros)
+        rhs = system.dual_rhs(zp)
+    else:
+        rhs = system.primal_rhs(*system.solve_primal(*zeros))
+    near = system._solve(rhs, transpose, zeros)
+    rng = np.random.default_rng(0)
+    blocks = (slice(None, ops.n_u), slice(ops.n_u, None))
+    guess = tuple(100 * np.abs(near[b]).max() * rng.standard_normal(near[b].size)
+                  for b in blocks)
+    far = system._solve(rhs, transpose, guess)
+    for b in blocks:
+        assert np.abs(far[b] - near[b]).max() <= bound * np.abs(near[b]).max()
 
 
 def test_evaluate_goal_examples(mandel_small):
