@@ -1,35 +1,3 @@
-"""Finite-element poroelasticity with adaptive goal-oriented model reduction.
-
-Submodules are imported lazily so that the CLI can pin thread-pool
-environment variables before any numerical library loads.
-"""
-
-import importlib
+"""Finite-element poroelasticity with adaptive goal-oriented model reduction."""
 
 __version__ = "0.1.0"
-
-_SUBMODULES = (
-    "discretization",
-    "assembly",
-    "linsolve",
-    "fom",
-    "pod",
-    "rom",
-    "estimator",
-    "adaptive",
-    "problems",
-    "reports",
-    "cli",
-)
-
-__all__ = list(_SUBMODULES) + ["__version__"]
-
-
-def __getattr__(name):
-    if name in _SUBMODULES:
-        return importlib.import_module(f".{name}", __name__)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__():
-    return sorted(__all__)

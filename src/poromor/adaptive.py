@@ -21,7 +21,7 @@ import numpy as np
 from .assembly import BlockOperators
 from .estimator import EstimateReport, build_report, estimate_elementwise
 from .fom import StepSystem, TimeGrid
-from .linsolve import LinearSolverConfig
+from .linsolve import LinearSolverConfig, _one_blas_thread
 from .pod import PodBasis, ipod_update
 from .rom import (ReducedOperators, ReducedTrajectory, lift, project_operators,
                   reduced_goal, reduced_goal_series, solve_dual_rom,
@@ -204,6 +204,7 @@ def extra_dual_enrichment(ops: BlockOperators, grid: TimeGrid,
     return (du, dp), steps
 
 
+@_one_blas_thread()
 def run_moredwr(ops: BlockOperators, grid: TimeGrid, config: MoreDwrConfig,
                 solver: LinearSolverConfig | None = None,
                 reference_goal: float | None = None) -> MoreDwrResult:

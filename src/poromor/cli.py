@@ -3,9 +3,6 @@
 Exit codes: 0 success, 2 configuration error or unusable file path,
 3 numerical failure (linear solver or degenerate reduced system),
 4 adaptive run did not converge (outputs are still written).
-
-POROMOR_NUM_THREADS caps the BLAS/OpenMP thread pools; it must take effect
-before numpy loads, hence the environment handling ahead of the imports.
 """
 
 from __future__ import annotations
@@ -13,12 +10,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-
-_threads = os.environ.get("POROMOR_NUM_THREADS")
-if _threads:
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                 "NUMEXPR_NUM_THREADS"):
-        os.environ.setdefault(_var, _threads)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2

@@ -18,7 +18,7 @@ import scipy.sparse as sp
 
 from .assembly import BlockOperators
 from .linsolve import (Factorization, FactorizationError, LinearSolverConfig,
-                       SolverMethod, gmres_solve)
+                       SolverMethod, _one_blas_thread, gmres_solve)
 
 __all__ = [
     "TimeGrid",
@@ -208,6 +208,7 @@ class StepSystem:
         return x[:self.n_u], x[self.n_u:]
 
 
+@_one_blas_thread()
 def run_primal_fom(ops: BlockOperators, grid: TimeGrid,
                    solver: LinearSolverConfig | None = None,
                    store_states: bool = True) -> Trajectory:
@@ -234,6 +235,7 @@ def run_primal_fom(ops: BlockOperators, grid: TimeGrid,
     return traj
 
 
+@_one_blas_thread()
 def run_dual_fom(ops: BlockOperators, grid: TimeGrid,
                  solver: LinearSolverConfig | None = None) -> Trajectory:
     """Sweep the adjoint problem backward from the zero terminal condition."""

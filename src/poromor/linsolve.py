@@ -5,11 +5,17 @@ transpose solves for the dual problem) and restarted GMRES with a left
 Jacobi preconditioner for the large 3D systems.  The GMRES iteration is
 local (``_gmres``): it computes bitwise what scipy's ``gmres`` computes,
 without that function's per-iteration Python overhead.
+
+``_one_blas_thread`` runs the sweeps' dense kernels on one OpenBLAS thread.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 
@@ -27,6 +33,66 @@ __all__ = [
     "FactorizationError",
     "ConvergenceError",
 ]
+
+
+# (setter, getter) symbol pairs of the OpenBLAS builds in use: numpy's
+# wheel (64-bit integers), scipy's wheel, and a system library
+_OPENBLAS_SYMBOLS = (
+    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
+    ("scipy_openblas_set_num_threads", "scipy_openblas_get_num_threads"),
+    ("openblas_set_num_threads", "openblas_get_num_threads"),
+)
+
+
+@functools.cache
+def _openblas_thread_controls() -> tuple:
+    """(set, get) thread-count functions of each OpenBLAS mapped into the
+    process; empty where none is found (MKL, macOS, Windows).  Read from
+    ``/proc/self/maps`` on first use, when numpy and scipy have loaded
+    theirs."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as maps:
+            paths = sorted({line.split(None, 5)[5].strip() for line in maps
+                            if "openblas" in os.path.basename(line).lower()})
+    except OSError:
+        return ()
+    controls = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for set_name, get_name in _OPENBLAS_SYMBOLS:
+            setter = getattr(lib, set_name, None)
+            getter = getattr(lib, get_name, None)
+            if setter is not None and getter is not None:
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                controls.append((setter, getter))
+                break
+    return tuple(controls)
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the enclosed code with every OpenBLAS at one thread, restoring
+    each library's count on exit.
+
+    The sweeps make thousands of dense products at most about 100 columns
+    wide, on which OpenBLAS's worker threads cost more than they share
+    out.  OpenBLAS also splits ``dot`` and ``gemv`` reductions over its
+    threads from about 10,000 entries, so on the caller's thread pool the
+    results would depend on the core count.
+    """
+    controls = _openblas_thread_controls()
+    saved = [get() for _, get in controls]
+    for set_threads, _ in controls:
+        set_threads(1)
+    try:
+        yield
+    finally:
+        for (set_threads, _), count in zip(controls, saved):
+            set_threads(count)
 
 
 class SolverMethod(Enum):
@@ -117,13 +183,19 @@ def gmres_solve(matrix: sp.spmatrix, rhs: np.ndarray,
         prec = lambda v: v / diag  # noqa: E731
     else:
         prec = lambda v: v  # noqa: E731
-    op = lambda v: prec(matrix @ v)  # noqa: E731
+    last = [None, None]  # the vector op last multiplied and its product
+
+    def op(v):
+        last[:] = v, matrix @ v
+        return prec(last[1])
+
     b_prec = prec(rhs)
     norm_mb = np.linalg.norm(b_prec)
 
     tol = config.gmres_tolerance
     iterations = 0
     x = x0
+    r_prec = None  # b_prec - op(x), once known
     rtol = tol
     rel_plain = rel_prec = math.inf
     for _ in range(6):
@@ -131,14 +203,19 @@ def gmres_solve(matrix: sp.spmatrix, rhs: np.ndarray,
         if remaining <= 0:
             break
         cycles = max(1, math.ceil(remaining / config.gmres_restart))
-        x, inner = _gmres(op, b_prec, x, rtol, config.gmres_restart, cycles)
+        x, inner = _gmres(op, b_prec, x, rtol, config.gmres_restart, cycles,
+                          r_prec)
         iterations += inner
-        r = rhs - matrix @ x
+        # unless it returns at once, _gmres ends on b - op(x) for the x it
+        # returns, so op's last product is that of x
+        product = last[1] if last[0] is x else matrix @ x
+        r = rhs - product
         rel_plain = np.linalg.norm(r) / norm_b
         rel_prec = np.linalg.norm(prec(r)) / norm_mb
         if rel_prec <= tol and rel_plain <= 10.0 * tol:
             return x, iterations
         rtol = max(rtol * 0.5 * tol / max(rel_prec, rel_plain / 10.0), 1e-16)
+        r_prec = b_prec - prec(product)
 
     residual = max(rel_plain, rel_prec)
     raise ConvergenceError(
@@ -147,13 +224,14 @@ def gmres_solve(matrix: sp.spmatrix, rhs: np.ndarray,
         residual=residual, iterations=iterations)
 
 
-def _gmres(matvec, b, x0, rtol, restart, maxiter):
+def _gmres(matvec, b, x0, rtol, restart, maxiter, r0=None):
     """Restarted GMRES (Saad & Schultz 1986) for ``matvec(x) = b``.
 
     Runs at most ``maxiter`` cycles of ``restart`` Arnoldi steps and stops
     after the first cycle whose residual is at most ``rtol * |b|`` (or that
     breaks down); returns the iterate and the number of Arnoldi steps
-    taken.  Derived from the real case of scipy's BSD-licensed ``gmres``
+    taken.  A caller that holds ``b - matvec(x0)`` passes it as ``r0``.
+    Derived from the real case of scipy's BSD-licensed ``gmres``
     (``scipy.sparse.linalg``, 1.17) with ``atol=0`` and no preconditioner,
     operation for operation: modified Gram-Schmidt on row-stored basis
     vectors, LAPACK ``lartg`` rotations, the gh-8400 control of the inner
@@ -178,7 +256,9 @@ def _gmres(matvec, b, x0, rtol, restart, maxiter):
     h = np.zeros((restart, restart + 1))
     buf = np.empty(n)
     iterations = 0
-    r = b - matvec(x) if x.any() else b
+    r = r0
+    if r is None:
+        r = b - matvec(x) if x.any() else b
     if np.linalg.norm(r) < atol:
         return x, 0
     for _ in range(maxiter):

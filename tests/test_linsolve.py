@@ -1,13 +1,16 @@
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from poromor.fom import StepSystem
+from poromor.adaptive import run_moredwr
+from poromor.fom import StepSystem, evaluate_goal, run_primal_fom
 from poromor.linsolve import (ConvergenceError, Factorization,
                               FactorizationError, LinearSolverConfig,
                               Preconditioner, SolverMethod, _gmres,
-                              gmres_solve)
+                              _openblas_thread_controls, gmres_solve)
 from poromor.problems import build_problem, mandel_spec
 
 GMRES_CFG = LinearSolverConfig(method=SolverMethod.GMRES,
@@ -140,6 +143,35 @@ def test_gmres_bitwise_scipy(mandel_small, perturbation, rtol, restart):
     assert np.array_equal(x, x_scipy)
 
 
+class CountingCSR(sp.csr_matrix):
+    """CSR matrix that counts its products with vectors."""
+
+    products = 0
+
+    def __matmul__(self, other):
+        self.products += 1
+        return super().__matmul__(other)
+
+
+def test_gmres_warm_start_forms_each_product_once(mandel_small):
+    # one initial residual, one product per Arnoldi step and one final
+    # residual, which gmres_solve reuses for its own residual checks
+    _, ops, grid = mandel_small
+    system = StepSystem(ops, grid.k)
+    zeros = np.zeros(ops.n_u), np.zeros(ops.n_p)
+    rhs = np.asarray(system.primal_rhs(*zeros), dtype=float)
+    x_direct = np.concatenate(system.solve_primal(*zeros)).astype(float)
+    noise = np.random.default_rng(0).standard_normal(x_direct.shape)
+    x0 = x_direct * (1.0 + 1e-3 * noise)
+
+    matrix = CountingCSR(system.matrix)
+    x, iterations = gmres_solve(matrix, rhs, GMRES_CFG, x0=x0)
+    assert 0 < iterations < GMRES_CFG.gmres_restart
+    assert matrix.products == iterations + 2
+    x_plain, _ = gmres_solve(system.matrix, rhs, GMRES_CFG, x0=x0)
+    assert np.array_equal(x, x_plain)
+
+
 def test_gmres_nonconvergence_error():
     rng = np.random.default_rng(1)
     A = sp.csr_matrix(rng.standard_normal((60, 60)) + 2 * np.eye(60))
@@ -181,3 +213,53 @@ def test_step_matrix_ordering_fill_and_residuals():
     for op, transpose in ((scaled, False), (scaled.T, True)):
         x = system._lu.solve(rhs, transpose=transpose)
         assert np.linalg.norm(op @ x - rhs) / np.linalg.norm(rhs) <= 1e-12
+
+
+@contextmanager
+def blas_threads(count):
+    """Every OpenBLAS in the process at ``count`` threads, as a caller sets
+    it; skips when the libraries do not reach that count."""
+    controls = _openblas_thread_controls()
+    saved = [get() for _, get in controls]
+    try:
+        for set_threads, _ in controls:
+            set_threads(count)
+        if not controls or any(get() != count for _, get in controls):
+            pytest.skip(f"OpenBLAS does not run {count} threads here")
+        yield
+    finally:
+        for (set_threads, _), n in zip(controls, saved):
+            set_threads(n)
+
+
+def test_results_do_not_depend_on_blas_threads():
+    # n = 12003: OpenBLAS splits dot and gemv reductions of this length
+    # over its threads, which moves J_rom and eta in the last digits
+    spec = mandel_spec(cells=(80, 16), steps=40)
+    ops, grid = build_problem(spec)
+
+    def run(threads):
+        with blas_threads(threads):
+            trajectory = run_primal_fom(ops, grid, solver=spec.solver,
+                                        store_states=False)
+            record = run_moredwr(ops, grid, spec.moredwr,
+                                 solver=spec.solver).record
+        return (evaluate_goal(trajectory, grid), record.J_rom, record.eta,
+                [log.m_max for log in record.iterations])
+
+    assert run(2) == run(1)
+
+
+def test_sweeps_restore_the_callers_blas_threads(mandel_small):
+    _, ops, grid = mandel_small
+    failing = LinearSolverConfig(method=SolverMethod.GMRES, max_iterations=1)
+
+    def counts():
+        return [get() for _, get in _openblas_thread_controls()]
+
+    with blas_threads(2):
+        run_primal_fom(ops, grid)
+        assert set(counts()) == {2}
+        with pytest.raises(ConvergenceError):
+            run_primal_fom(ops, grid, solver=failing)
+        assert set(counts()) == {2}
