@@ -121,8 +121,8 @@ class MoreDwrResult:
     bases: tuple[PodBasis, PodBasis, PodBasis, PodBasis]
 
 
-def initialize_bases(ops: BlockOperators, grid: TimeGrid,
-                     config: MoreDwrConfig, system: StepSystem):
+def initialize_bases(ops: BlockOperators, config: MoreDwrConfig,
+                     system: StepSystem):
     """Seed the four bases from one primal and one dual full-order step.
 
     The primal step starts from the zero initial condition on the first
@@ -143,16 +143,15 @@ def initialize_bases(ops: BlockOperators, grid: TimeGrid,
     return (pu, pp, du, dp), 2
 
 
-def enrich_at(ops: BlockOperators, grid: TimeGrid,
-              bases: tuple[PodBasis, PodBasis, PodBasis, PodBasis],
+def enrich_at(bases: tuple[PodBasis, PodBasis, PodBasis, PodBasis],
               m_max: int, primal: ReducedTrajectory, dual: ReducedTrajectory,
               system: StepSystem):
     """One primal and one dual full-order step on temporal element m_max.
 
     The primal step starts from the lifted reduced state at the element's
     left endpoint, the dual step from the lifted reduced adjoint at its
-    right endpoint (the zero terminal condition when m_max == M).  All four
-    bases absorb the new snapshots.
+    right endpoint (the zero terminal condition when m_max == M).  Returns
+    the four bases updated with the new snapshots.
     """
     pu, pp, du, dp = bases
     u_prev = lift(primal.U[m_max - 1], pu)
@@ -163,45 +162,29 @@ def enrich_at(ops: BlockOperators, grid: TimeGrid,
     u_new, p_new = system.solve_primal(u_prev, p_prev)
     zu_new, zp_new = system.solve_dual(zu_next, zp_next)
 
-    pu = ipod_update(pu, u_new)
-    pp = ipod_update(pp, p_new)
-    du = ipod_update(du, zu_new)
-    dp = ipod_update(dp, zp_new)
-    snapshots = {"primal_u": u_new, "primal_p": p_new,
-                 "dual_u": zu_new, "dual_p": zp_new}
-    return (pu, pp, du, dp), snapshots
+    return (ipod_update(pu, u_new), ipod_update(pp, p_new),
+            ipod_update(du, zu_new), ipod_update(dp, zp_new))
 
 
-def extra_dual_enrichment(ops: BlockOperators, grid: TimeGrid,
-                          dual_bases: tuple[PodBasis, PodBasis],
+def extra_dual_enrichment(dual_bases: tuple[PodBasis, PodBasis],
                           start_state: tuple[np.ndarray, np.ndarray],
-                          iteration: int, config: MoreDwrConfig,
-                          system: StepSystem):
+                          steps: int, system: StepSystem):
     """Full-order dual steps for the trailing elements, fed to the dual bases.
 
-    ``start_state`` is the lifted reduced adjoint at row
-    ``l = extra_dual_steps`` (captured before any basis update of this
-    iteration); the dual problem is stepped from there down to row 0, the
-    last steps of the backward-in-time problem.  No-op beyond the configured
-    iteration count.  Returns the updated bases and the solve count.
+    ``start_state`` is the lifted reduced adjoint at row ``steps`` (captured
+    before any basis update of this iteration); the dual problem is stepped
+    from there down to row 0, the last ``steps`` steps of the
+    backward-in-time problem.  Returns the updated dual bases.
     """
     du, dp = dual_bases
-    if iteration > config.extra_dual_iterations or config.extra_dual_steps == 0:
-        return (du, dp), 0
-    steps = min(config.extra_dual_steps, grid.num_elements)
-    if steps == 0:
-        return (du, dp), 0
-
     zu, zp = start_state
-    snap_u = np.empty((ops.n_u, steps))
-    snap_p = np.empty((ops.n_p, steps))
+    snap_u = np.empty((du.n, steps))
+    snap_p = np.empty((dp.n, steps))
     for j in range(steps):
         zu, zp = system.solve_dual(zu, zp)
         snap_u[:, j] = zu
         snap_p[:, j] = zp
-    du = ipod_update(du, snap_u)
-    dp = ipod_update(dp, snap_p)
-    return (du, dp), steps
+    return ipod_update(du, snap_u), ipod_update(dp, snap_p)
 
 
 @_one_blas_thread()
@@ -223,7 +206,7 @@ def run_moredwr(ops: BlockOperators, grid: TimeGrid, config: MoreDwrConfig,
     max_iterations = config.max_iterations or max(grid.num_elements, 1)
 
     system = StepSystem(ops, grid.k, solver)
-    bases, record.init_solves = initialize_bases(ops, grid, config, system)
+    bases, record.init_solves = initialize_bases(ops, config, system)
     pu, pp, du, dp = bases
 
     if pu.rank == 0 and pp.rank == 0:
@@ -272,16 +255,15 @@ def run_moredwr(ops: BlockOperators, grid: TimeGrid, config: MoreDwrConfig,
         extra_start = None
         if (iteration <= config.extra_dual_iterations
                 and config.extra_dual_steps > 0):
-            row = min(config.extra_dual_steps, grid.num_elements)
-            extra_start = (lift(dual.U[row], du), lift(dual.P[row], dp))
+            steps = min(config.extra_dual_steps, grid.num_elements)
+            extra_start = (lift(dual.U[steps], du), lift(dual.P[steps], dp))
 
-        (pu, pp, du, dp), _ = enrich_at(
-            ops, grid, (pu, pp, du, dp), report.m_max, primal, dual, system)
+        pu, pp, du, dp = enrich_at((pu, pp, du, dp), report.m_max, primal,
+                                   dual, system)
         record.enrichment_iterations += 1
         if extra_start is not None:
-            (du, dp), extra = extra_dual_enrichment(
-                ops, grid, (du, dp), extra_start, iteration, config, system)
-            record.extra_dual_solves += extra
+            du, dp = extra_dual_enrichment((du, dp), extra_start, steps, system)
+            record.extra_dual_solves += steps
 
     record.basis_sizes = (pu.rank, pp.rank, du.rank, dp.rank)
     record.eta = report.eta

@@ -30,9 +30,6 @@ __all__ = [
 ]
 
 
-EXTENDED_REFINE_LIMIT = 4096
-
-
 @dataclass(frozen=True)
 class TimeGrid:
     """Uniform partition of (t_start, t_end) into temporal elements."""
@@ -89,15 +86,8 @@ class StepSystem:
     Primal step:  S [u_m; p_m] = [f; M p_{m-1} + D u_{m-1}]
     Dual step:    S^T [z_u; z_p] = [D^T z_p_next; M z_p_next + k g]
 
-    ``state_dtype`` is the working precision of right-hand sides, refinement
-    residuals and solve results: extended (``np.longdouble``) for direct
-    solves at small sizes, double otherwise.  At small sizes the estimator
-    resolves goal errors near eps * J, and the adjoint pressure weighs
-    flow-row defects by ~1e12, so even the double rounding of the flow block
-    M + k*K or of a stored state shows up in the estimate; trajectories
-    stored at this precision keep the step defects at the refinement floor.
     Every solve starts from the state it steps from: GMRES iterates from
-    it and direct solves refine it.
+    it, and a direct solve adds one LU-solved increment to it.
     """
 
     def __init__(self, ops: BlockOperators, k: float,
@@ -110,29 +100,20 @@ class StepSystem:
         self.n_u = ops.n_u
         self.n_p = ops.n_p
 
-        self.matrix, dual = self._step_matrices(np.float64)
+        self._kK = self.k * ops.K_pp
+        self._kg = self.k * ops.g_goal
+        A, C, flow = ops.A_uu, ops.C_up, ops.M_pp + self._kK
+        self.matrix = sp.bmat([[A, C], [ops.D_pu, flow]], format="csr")
+        dual = sp.bmat([[A, ops.D_pu.T], [C.T, flow.T]], format="csr")
         defect = abs(dual - self.matrix.T).max() if dual.nnz else 0.0
         if defect > 1e-12:
             raise AssertionError(
                 f"dual step matrix deviates from the primal transpose by {defect:.3e}")
         self.dual_matrix = dual
 
-        direct = self.solver.method is SolverMethod.DIRECT
-        extended = direct and self.n_u + self.n_p <= EXTENDED_REFINE_LIMIT
-        wp = np.longdouble if extended else np.float64
-        self.state_dtype = wp
-        self._M = ops.M_pp.astype(wp, copy=False)
-        self._D = ops.D_pu.astype(wp, copy=False)
-        self._f = ops.f_traction.astype(wp, copy=False)
-        self._kg = wp(self.k) * ops.g_goal.astype(wp, copy=False)
-        # (primal, dual) operators of GMRES solves and refinement residuals
-        self._working_matrices = (self._step_matrices(wp) if extended
-                                  else (self.matrix, self.dual_matrix))
-        self._passes = 2 if extended else 1
-
         self._lu: Factorization | None = None
         self._scale: np.ndarray | None = None
-        if direct:
+        if self.solver.method is SolverMethod.DIRECT:
             # symmetric Jacobi equilibration: the raw system mixes stiffness
             # entries ~1e8 with storage-mass entries ~1e-8, which ruins the
             # forward accuracy of a plain LU on the flow rows.  D S D keeps
@@ -147,65 +128,58 @@ class StepSystem:
         self.solve_count = 0
         self.iteration_counts: list[int] = []
 
-    def _step_matrices(self, dtype):
-        """Primal and dual step matrices, with M + k*K combined in ``dtype``."""
-        ops = self.ops
-        A, C, D, M, K = (b.astype(dtype, copy=False) for b in
-                         (ops.A_uu, ops.C_up, ops.D_pu, ops.M_pp, ops.K_pp))
-        flow = M + dtype(self.k) * K
-        return (sp.bmat([[A, C], [D, flow]], format="csr"),
-                sp.bmat([[A, D.T], [C.T, flow.T]], format="csr"))
-
     def primal_rhs(self, u_prev: np.ndarray, p_prev: np.ndarray) -> np.ndarray:
-        rhs = np.empty(self.n_u + self.n_p, dtype=self.state_dtype)
-        rhs[:self.n_u] = self._f
-        rhs[self.n_u:] = self._M @ p_prev + self._D @ u_prev
-        return rhs
+        ops = self.ops
+        return np.concatenate((ops.f_traction,
+                               ops.M_pp @ p_prev + ops.D_pu @ u_prev))
 
     def dual_rhs(self, zp_next: np.ndarray) -> np.ndarray:
-        rhs = np.empty(self.n_u + self.n_p, dtype=self.state_dtype)
-        rhs[:self.n_u] = self._D.T @ zp_next
-        rhs[self.n_u:] = self._M @ zp_next + self._kg
-        return rhs
+        ops = self.ops
+        return np.concatenate((ops.D_pu.T @ zp_next,
+                               ops.M_pp @ zp_next + self._kg))
 
-    def _solve(self, rhs, transpose: bool, guess) -> np.ndarray:
-        """Solve one step from the (u, p) pair ``guess``: GMRES starts from
-        it, direct solves refine it."""
+    def _residual(self, u, p, transpose: bool) -> np.ndarray:
+        """Step residual F - S x of the state x = (u, p) a step starts from.
+
+        With S = E + T split as in :meth:`poromor.rom.Projection.step` (new
+        state E = [[A, C], [0, kK]], transfer T = [[0, 0], [D, M]]), the
+        primal residual is [f; 0] - E x and the dual one [0; k g] - E^T x:
+        the transfer terms cancel exactly and are never formed, so the flow
+        row, which the adjoint pressure weighs by ~1e12 in the dual-weighted
+        estimate, carries no cancellation error.
+        """
+        ops = self.ops
+        if transpose:
+            return np.concatenate((-(ops.A_uu @ u),
+                                   self._kg - ops.C_up.T @ u - self._kK @ p))
+        return np.concatenate((ops.f_traction - ops.A_uu @ u - ops.C_up @ p,
+                               -(self._kK @ p)))
+
+    def _solve(self, u, p, transpose: bool) -> tuple[np.ndarray, np.ndarray]:
+        """One step from the state (u, p): GMRES iterates from it, a direct
+        solve adds the increment S dx = F - S x (one LU solve)."""
         self.solve_count += 1
-        matrix = self._working_matrices[1 if transpose else 0]
-        x = np.concatenate(guess)
+        x = np.concatenate((u, p))
         if self._lu is None:
+            if transpose:
+                matrix, rhs = self.dual_matrix, self.dual_rhs(p)
+            else:
+                matrix, rhs = self.matrix, self.primal_rhs(u, p)
             x, iters = gmres_solve(matrix, rhs, self.solver, x0=x)
             self.iteration_counts.append(iters)
-            return x
-        d = self._scale
-        x = x.astype(self.state_dtype, copy=False)
-        # iterative refinement from the guess: each pass solves S dx = rhs - S x
-        # for the increment, so from the zero state the first pass is a plain
-        # LU solve.  The dual-weighted estimator resolves goal errors ~1e-8
-        # relative and sees raw LU defects.  In double one pass reaches the
-        # refinement floor (scaled step residual 2.5e-14, median over Mandel
-        # 80x16).  In long double on Mandel 4x2/20 one pass leaves 1.6e-15
-        # and two reach the floor (1.2e-18); the exact-error identity
-        # (criterion 3) reads 4.6e-9 after one pass and 1.3e-9 after two,
-        # which keeps its 1e-8 bound at the 5x margin that the DWR identities
-        # are held to.
-        for _ in range(self._passes):
-            residual = np.asarray(d * (rhs - matrix @ x), dtype=np.float64)
-            x += d * self._lu.solve(residual, transpose=transpose)
-        return x
+        else:
+            d = self._scale
+            x += d * self._lu.solve(d * self._residual(u, p, transpose),
+                                    transpose=transpose)
+        return x[:self.n_u], x[self.n_u:]
 
     def solve_primal(self, u_prev, p_prev) -> tuple[np.ndarray, np.ndarray]:
         """One forward step, started from the previous state."""
-        rhs = self.primal_rhs(u_prev, p_prev)
-        x = self._solve(rhs, transpose=False, guess=(u_prev, p_prev))
-        return x[:self.n_u], x[self.n_u:]
+        return self._solve(u_prev, p_prev, transpose=False)
 
     def solve_dual(self, zu_next, zp_next) -> tuple[np.ndarray, np.ndarray]:
         """One backward step, started from the next adjoint state."""
-        rhs = self.dual_rhs(zp_next)
-        x = self._solve(rhs, transpose=True, guess=(zu_next, zp_next))
-        return x[:self.n_u], x[self.n_u:]
+        return self._solve(zu_next, zp_next, transpose=True)
 
 
 @_one_blas_thread()
@@ -216,13 +190,11 @@ def run_primal_fom(ops: BlockOperators, grid: TimeGrid,
     start = time.perf_counter()
     M = grid.num_elements
     system = StepSystem(ops, grid.k, solver) if M > 0 else None
-
-    dtype = system.state_dtype if system is not None else np.float64
     goal_series = np.zeros(M + 1)
     U = P = None
     if store_states:
-        U = np.zeros((M + 1, ops.n_u), dtype=dtype)
-        P = np.zeros((M + 1, ops.n_p), dtype=dtype)
+        U = np.zeros((M + 1, ops.n_u))
+        P = np.zeros((M + 1, ops.n_p))
     u, p = np.zeros(ops.n_u), np.zeros(ops.n_p)
     for m in range(1, M + 1):
         u, p = system.solve_primal(u, p)
@@ -242,9 +214,8 @@ def run_dual_fom(ops: BlockOperators, grid: TimeGrid,
     start = time.perf_counter()
     M = grid.num_elements
     system = StepSystem(ops, grid.k, solver) if M > 0 else None
-    dtype = system.state_dtype if system is not None else np.float64
-    Zu = np.zeros((M + 1, ops.n_u), dtype=dtype)
-    Zp = np.zeros((M + 1, ops.n_p), dtype=dtype)
+    Zu = np.zeros((M + 1, ops.n_u))
+    Zp = np.zeros((M + 1, ops.n_p))
     zu, zp = Zu[M], Zp[M]
     for m in range(M - 1, -1, -1):
         zu, zp = system.solve_dual(zu, zp)

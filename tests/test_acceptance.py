@@ -124,8 +124,8 @@ def test_criterion_2_galerkin_orthogonality():
 def test_criterion_3_exact_error_identity(mandel_small, mandel_small_fom):
     _, ops, grid = mandel_small
     primal_fom, dual_fom, J_fom = mandel_small_fom
-    U_snap = np.asarray(primal_fom.U[1:].T, dtype=float)
-    P_snap = np.asarray(primal_fom.P[1:].T, dtype=float)
+    U_snap = primal_fom.U[1:].T
+    P_snap = primal_fom.P[1:].T
     du = make_identity_basis(ops.n_u)
     dp = make_identity_basis(ops.n_p)
     worst = 0.0

@@ -33,8 +33,8 @@ def test_full_space_galerkin_orthogonality(mandel_small, mandel_small_fom):
 def test_exact_error_identity_with_fom_dual(mandel_small, mandel_small_fom):
     _, ops, grid = mandel_small
     primal_fom, dual_fom, J_fom = mandel_small_fom
-    U_snap = np.asarray(primal_fom.U[1:].T, dtype=float)
-    P_snap = np.asarray(primal_fom.P[1:].T, dtype=float)
+    U_snap = primal_fom.U[1:].T
+    P_snap = primal_fom.P[1:].T
     du = make_identity_basis(ops.n_u)
     dp = make_identity_basis(ops.n_p)
     for rank in (1, 2, 3):
@@ -65,11 +65,11 @@ def test_reduced_equals_lifted_full_space_evaluation(mandel_small,
     # residual evaluation of the lifted trajectories
     _, ops, grid = mandel_small
     primal_fom, dual_fom, _ = mandel_small_fom
-    U_snap = np.asarray(primal_fom.U[1:].T, dtype=float)
-    P_snap = np.asarray(primal_fom.P[1:].T, dtype=float)
+    U_snap = primal_fom.U[1:].T
+    P_snap = primal_fom.P[1:].T
     pu, pp = truncated_pod_basis(U_snap, 2), truncated_pod_basis(P_snap, 2)
-    du = truncated_pod_basis(np.asarray(dual_fom.U[:-1].T, float), 3)
-    dp = truncated_pod_basis(np.asarray(dual_fom.P[:-1].T, float), 3)
+    du = truncated_pod_basis(dual_fom.U[:-1].T, 3)
+    dp = truncated_pod_basis(dual_fom.P[:-1].T, 3)
     red = project_operators(ops, (pu, pp), (du, dp))
     primal = solve_primal_rom(red, grid)
     dual = solve_dual_rom(red, grid)
@@ -94,10 +94,10 @@ def test_estimates_invariant_under_mode_permutation(mandel_small,
                                                     mandel_small_fom):
     _, ops, grid = mandel_small
     primal_fom, dual_fom, _ = mandel_small_fom
-    pu = truncated_pod_basis(np.asarray(primal_fom.U[1:].T, float), 3)
-    pp = truncated_pod_basis(np.asarray(primal_fom.P[1:].T, float), 3)
-    du = truncated_pod_basis(np.asarray(dual_fom.U[:-1].T, float), 3)
-    dp = truncated_pod_basis(np.asarray(dual_fom.P[:-1].T, float), 3)
+    pu = truncated_pod_basis(primal_fom.U[1:].T, 3)
+    pp = truncated_pod_basis(primal_fom.P[1:].T, 3)
+    du = truncated_pod_basis(dual_fom.U[:-1].T, 3)
+    dp = truncated_pod_basis(dual_fom.P[:-1].T, 3)
 
     def run(order):
         pp_perm = PodBasis(pp.modes[:, order], pp.singular_values[order],
@@ -120,10 +120,10 @@ def test_blocked_evaluation_matches_single_block(mandel_small,
     # blocks of 7 over 20 elements: each block reads the state row before it
     _, ops, grid = mandel_small
     primal_fom, dual_fom, _ = mandel_small_fom
-    pu = truncated_pod_basis(np.asarray(primal_fom.U[1:].T, float), 2)
-    pp = truncated_pod_basis(np.asarray(primal_fom.P[1:].T, float), 3)
-    du = truncated_pod_basis(np.asarray(dual_fom.U[:-1].T, float), 4)
-    dp = truncated_pod_basis(np.asarray(dual_fom.P[:-1].T, float), 3)
+    pu = truncated_pod_basis(primal_fom.U[1:].T, 2)
+    pp = truncated_pod_basis(primal_fom.P[1:].T, 3)
+    du = truncated_pod_basis(dual_fom.U[:-1].T, 4)
+    dp = truncated_pod_basis(dual_fom.P[:-1].T, 3)
     red = project_operators(ops, (pu, pp), (du, dp))
     primal = solve_primal_rom(red, grid)
     dual = solve_dual_rom(red, grid)

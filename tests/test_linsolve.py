@@ -106,7 +106,7 @@ def test_gmres_matches_direct_footing_3d():
     rhs = direct.primal_rhs(*zeros)
     x_direct = np.concatenate(direct.solve_primal(*zeros))
     x_gmres, _ = gmres_solve(direct.matrix, rhs, GMRES_CFG)
-    rel = np.abs(x_gmres - np.asarray(x_direct, dtype=float)).max() / np.abs(x_direct).max()
+    rel = np.abs(x_gmres - x_direct).max() / np.abs(x_direct).max()
     assert rel < 1e-6
 
 
@@ -125,10 +125,10 @@ def test_gmres_bitwise_scipy(mandel_small, perturbation, rtol, restart):
     diag = system.matrix.diagonal()
     matvec = lambda v: (system.matrix @ v) / diag  # noqa: E731
     zeros = np.zeros(ops.n_u), np.zeros(ops.n_p)
-    b = np.asarray(system.primal_rhs(*zeros), dtype=float) / diag
+    b = system.primal_rhs(*zeros) / diag
     x0 = None
     if perturbation is not None:
-        x_direct = np.concatenate(system.solve_primal(*zeros)).astype(float)
+        x_direct = np.concatenate(system.solve_primal(*zeros))
         noise = np.random.default_rng(0).standard_normal(x_direct.shape)
         x0 = x_direct * (1.0 + perturbation * noise)
 
@@ -159,8 +159,8 @@ def test_gmres_warm_start_forms_each_product_once(mandel_small):
     _, ops, grid = mandel_small
     system = StepSystem(ops, grid.k)
     zeros = np.zeros(ops.n_u), np.zeros(ops.n_p)
-    rhs = np.asarray(system.primal_rhs(*zeros), dtype=float)
-    x_direct = np.concatenate(system.solve_primal(*zeros)).astype(float)
+    rhs = system.primal_rhs(*zeros)
+    x_direct = np.concatenate(system.solve_primal(*zeros))
     noise = np.random.default_rng(0).standard_normal(x_direct.shape)
     x0 = x_direct * (1.0 + 1e-3 * noise)
 

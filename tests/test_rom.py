@@ -72,15 +72,15 @@ def test_full_space_rom_reproduces_fom(mandel_small, mandel_small_fom):
     primal, dual = identity_bases(ops)
     red = project_operators(ops, primal, dual)
     traj = solve_primal_rom(red, grid)
-    U_fom = np.asarray(primal_fom.U, dtype=float)
-    P_fom = np.asarray(primal_fom.P, dtype=float)
+    U_fom = primal_fom.U
+    P_fom = primal_fom.P
     assert np.abs(traj.U - U_fom).max() <= 1e-8 * np.abs(U_fom).max()
     assert np.abs(traj.P - P_fom).max() <= 1e-8 * np.abs(P_fom).max()
     J_rom = reduced_goal(red, traj, grid)
     assert J_rom == pytest.approx(J_fom, rel=1e-10)
 
     dtraj = solve_dual_rom(red, grid)
-    Z_fom = np.asarray(dual_fom.P, dtype=float)
+    Z_fom = dual_fom.P
     assert np.abs(dtraj.P - Z_fom).max() <= 1e-8 * np.abs(Z_fom).max()
 
 
@@ -133,8 +133,8 @@ def test_zero_goal_zero_dual(mandel_small):
 def test_dual_error_decreases_with_basis_growth(mandel_small, mandel_small_fom):
     _, ops, grid = mandel_small
     _, dual_fom, _ = mandel_small_fom
-    Zu = np.asarray(dual_fom.U[:-1].T, dtype=float)
-    Zp = np.asarray(dual_fom.P[:-1].T, dtype=float)
+    Zu = dual_fom.U[:-1].T
+    Zp = dual_fom.P[:-1].T
     pu = make_identity_basis(ops.n_u)
     pp = make_identity_basis(ops.n_p)
     errors = []
@@ -144,14 +144,14 @@ def test_dual_error_decreases_with_basis_growth(mandel_small, mandel_small_fom):
         red = project_operators(ops, (pu, pp), (du, dp))
         dtraj = solve_dual_rom(red, grid)
         lifted = dtraj.P @ dp.modes.T
-        errors.append(np.linalg.norm(lifted - np.asarray(dual_fom.P, float)))
+        errors.append(np.linalg.norm(lifted - dual_fom.P))
     assert all(b < a for a, b in zip(errors, errors[1:]))
 
 
 def test_lift_examples(mandel_small, mandel_small_fom):
     _, ops, _ = mandel_small
     primal_fom, _, _ = mandel_small_fom
-    P_snap = np.asarray(primal_fom.P[1:].T, dtype=float)
+    P_snap = primal_fom.P[1:].T
     basis = truncated_pod_basis(P_snap, 3)
     assert np.abs(lift(np.zeros(3), basis)).max() == 0.0
     v = basis.modes @ np.array([1.0, -2.0, 0.5])
@@ -164,8 +164,8 @@ def test_lift_examples(mandel_small, mandel_small_fom):
 def test_round_trip_error_decreases_with_modes(mandel_small, mandel_small_fom):
     _, ops, _ = mandel_small
     primal_fom, _, _ = mandel_small_fom
-    P_snap = np.asarray(primal_fom.P[1:].T, dtype=float)
-    v = np.asarray(primal_fom.P[13], dtype=float)
+    P_snap = primal_fom.P[1:].T
+    v = primal_fom.P[13]
     errors = []
     for rank in (1, 2, 3, 5):
         basis = truncated_pod_basis(P_snap, rank)
