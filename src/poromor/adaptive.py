@@ -218,8 +218,8 @@ def run_moredwr(ops: BlockOperators, grid: TimeGrid, config: MoreDwrConfig,
         _finalize(record, system)
         empty = ReducedTrajectory(np.zeros((grid.num_elements + 1, 0)),
                                   np.zeros((grid.num_elements + 1, 0)),
-                                  "primal", (pu.version, pp.version,
-                                             du.version, dp.version))
+                                  (pu.version, pp.version, du.version,
+                                   dp.version))
         return MoreDwrResult(record, empty, None, None, (pu, pp, du, dp))
 
     red = primal = dual = report = None

@@ -40,17 +40,12 @@ GAUSS_POINTS_PER_AXIS = 3
 
 @dataclass(frozen=True)
 class MaterialParams:
-    """Material constants of the poroelastic medium (SI units).
-
-    ``density`` is carried for completeness but enters no equation of the
-    quasi-static model.
-    """
+    """Material constants of the poroelastic medium (SI units)."""
 
     compressibility_modulus: float = 1.75e7   # Pa
     biot_alpha: float = 1.0
     viscosity: float = 1.0e-3                 # m^2/s
     permeability: float = 1.0e-13             # m^2
-    density: float = 1.0                      # kg/m^3, unused
     traction_magnitude: float = 1.0e7
     lame_mu: float = 1.0e8                    # Pa
     lame_lambda: float = 2.0e8 / 3.0          # Pa

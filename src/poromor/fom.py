@@ -32,27 +32,26 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Uniform partition of (t_start, t_end) into temporal elements."""
+    """Uniform partition of (0, t_end) into temporal elements."""
 
     t_end: float
     num_elements: int
-    t_start: float = 0.0
 
     def __post_init__(self):
         if self.num_elements < 0:
             raise ValueError("num_elements must be >= 0")
-        if self.num_elements > 0 and self.t_end <= self.t_start:
-            raise ValueError("t_end must exceed t_start")
+        if self.num_elements > 0 and self.t_end <= 0:
+            raise ValueError("t_end must be positive")
 
     @property
     def k(self) -> float:
         """Constant timestep size."""
         if self.num_elements == 0:
             return 0.0
-        return (self.t_end - self.t_start) / self.num_elements
+        return self.t_end / self.num_elements
 
     def times(self) -> np.ndarray:
-        return self.t_start + self.k * np.arange(self.num_elements + 1)
+        return self.k * np.arange(self.num_elements + 1)
 
 
 @dataclass
@@ -69,7 +68,6 @@ class Trajectory:
 
     U: np.ndarray | None
     P: np.ndarray | None
-    kind: str
     goal_series: np.ndarray | None = None
     wall_time: float = 0.0
     solve_stats: dict = field(default_factory=dict)
@@ -201,7 +199,7 @@ def run_primal_fom(ops: BlockOperators, grid: TimeGrid,
         goal_series[m] = ops.g_goal @ p
         if store_states:
             U[m], P[m] = u, p
-    traj = Trajectory(U, P, "primal", goal_series=goal_series)
+    traj = Trajectory(U, P, goal_series=goal_series)
     traj.solve_stats = _stats(system)
     traj.wall_time = time.perf_counter() - start
     return traj
@@ -220,7 +218,7 @@ def run_dual_fom(ops: BlockOperators, grid: TimeGrid,
     for m in range(M - 1, -1, -1):
         zu, zp = system.solve_dual(zu, zp)
         Zu[m], Zp[m] = zu, zp
-    traj = Trajectory(Zu, Zp, "dual")
+    traj = Trajectory(Zu, Zp)
     traj.solve_stats = _stats(system)
     traj.wall_time = time.perf_counter() - start
     return traj

@@ -26,7 +26,6 @@ from scipy.linalg import get_lapack_funcs
 
 __all__ = [
     "SolverMethod",
-    "Preconditioner",
     "LinearSolverConfig",
     "Factorization",
     "gmres_solve",
@@ -100,11 +99,6 @@ class SolverMethod(Enum):
     GMRES = "gmres"
 
 
-class Preconditioner(Enum):
-    NONE = "none"
-    JACOBI = "jacobi"
-
-
 class FactorizationError(RuntimeError):
     """Sparse LU factorization failed (singular or structurally defective)."""
 
@@ -124,7 +118,6 @@ class LinearSolverConfig:
     gmres_tolerance: float = 5.0e-8
     gmres_restart: int = 100
     max_iterations: int = 5000
-    preconditioner: Preconditioner = Preconditioner.JACOBI
 
     def validate(self) -> None:
         if self.gmres_tolerance <= 0:
@@ -160,7 +153,7 @@ class Factorization:
 def gmres_solve(matrix: sp.spmatrix, rhs: np.ndarray,
                 config: LinearSolverConfig,
                 x0: np.ndarray | None = None) -> tuple[np.ndarray, int]:
-    """Restarted, left-preconditioned GMRES solve.
+    """Restarted GMRES solve, left-preconditioned with Jacobi.
 
     Convergence is measured on the preconditioned residual relative to the
     preconditioned right-hand side; the plain relative residual is verified
@@ -176,13 +169,10 @@ def gmres_solve(matrix: sp.spmatrix, rhs: np.ndarray,
     if norm_b == 0.0:
         return np.zeros_like(rhs), 0
 
-    if config.preconditioner is Preconditioner.JACOBI:
-        diag = matrix.diagonal()
-        if np.any(diag == 0.0):
-            raise ValueError("Jacobi preconditioner requires a nonzero diagonal")
-        prec = lambda v: v / diag  # noqa: E731
-    else:
-        prec = lambda v: v  # noqa: E731
+    diag = matrix.diagonal()
+    if np.any(diag == 0.0):
+        raise ValueError("Jacobi preconditioner requires a nonzero diagonal")
+    prec = lambda v: v / diag  # noqa: E731
     last = [None, None]  # the vector op last multiplied and its product
 
     def op(v):

@@ -50,7 +50,6 @@ class ReducedTrajectory:
 
     U: np.ndarray  # (M+1, N_u)
     P: np.ndarray  # (M+1, N_p)
-    kind: str
     versions: tuple[int, int, int, int]
 
     def __len__(self) -> int:
@@ -214,7 +213,7 @@ def solve_primal_rom(red: ReducedOperators, grid: TimeGrid) -> ReducedTrajectory
     load = np.concatenate([proj.f, np.zeros(proj.M.shape[0])])
     U, P = _sweep(E + T, T, load, range(1, grid.num_elements + 1),
                   proj.A.shape[0])
-    return ReducedTrajectory(U, P, "primal", red.versions)
+    return ReducedTrajectory(U, P, red.versions)
 
 
 def solve_dual_rom(red: ReducedOperators, grid: TimeGrid) -> ReducedTrajectory:
@@ -227,7 +226,7 @@ def solve_dual_rom(red: ReducedOperators, grid: TimeGrid) -> ReducedTrajectory:
     load = np.concatenate([np.zeros(proj.A.shape[0]), grid.k * proj.g])
     Zu, Zp = _sweep((E + T).T, T.T, load,
                     range(grid.num_elements - 1, -1, -1), proj.A.shape[0])
-    return ReducedTrajectory(Zu, Zp, "dual", red.versions)
+    return ReducedTrajectory(Zu, Zp, red.versions)
 
 
 def lift(coeffs: np.ndarray, basis: PodBasis) -> np.ndarray:

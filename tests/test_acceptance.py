@@ -134,7 +134,7 @@ def test_criterion_3_exact_error_identity(mandel_small, mandel_small_fom):
         pp = truncated_pod_basis(P_snap, rank)
         red = project_operators(ops, (pu, pp), (du, dp))
         primal = solve_primal_rom(red, grid)
-        dual = ReducedTrajectory(dual_fom.U, dual_fom.P, "dual", red.versions)
+        dual = ReducedTrajectory(dual_fom.U, dual_fom.P, red.versions)
         eta = math.fsum(estimate_elementwise(red, primal, dual, grid))
         true_error = J_fom - reduced_goal(red, primal, grid)
         worst = max(worst, abs(eta - true_error) / abs(true_error))

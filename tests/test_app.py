@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,9 +9,10 @@ from poromor import adaptive, reports
 from poromor.cli import main
 from poromor.discretization import BoundaryTag, ProblemKind
 from poromor.estimator import DegenerateNormalizationError
-from poromor.linsolve import Preconditioner, SolverMethod
-from poromor.problems import (ConfigError, footing_spec, mandel_spec,
-                              parse_config)
+from poromor.assembly import MaterialParams
+from poromor.linsolve import LinearSolverConfig, SolverMethod
+from poromor.problems import (CONFIG_KEYS, ConfigError, footing_spec,
+                              mandel_spec, parse_config, read_config_file)
 from poromor.rom import DegenerateBasisError
 
 
@@ -26,7 +28,6 @@ def test_mandel_defaults_reproduce_reference_setup():
     assert mat.biot_alpha == 1.0
     assert mat.viscosity == pytest.approx(1.0e-3)
     assert mat.permeability == pytest.approx(1.0e-13)
-    assert mat.density == 1.0
     assert mat.traction_magnitude == pytest.approx(1.0e7)
     assert mat.lame_mu == pytest.approx(1.0e8)
     assert mat.lame_lambda == pytest.approx(2.0e8 / 3.0)
@@ -39,7 +40,6 @@ def test_footing_defaults():
     spec = parse_config(None, {"problem": "footing"})
     assert spec.cells_per_axis == (16, 16, 16)
     assert spec.solver.method is SolverMethod.GMRES
-    assert spec.solver.preconditioner is Preconditioner.JACOBI
     assert spec.solver.gmres_tolerance == pytest.approx(5.0e-8)
     assert spec.moredwr.extra_dual_iterations == 8
     assert spec.goal_tag is BoundaryTag.COMPRESSION
@@ -61,10 +61,45 @@ def test_negative_steps_rejected():
 
 def test_unknown_key_rejected_with_line(tmp_path):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("problem = mandel\nbogus_key = 3\n")
+    # the last two keys are retired: GMRES is always Jacobi-preconditioned
+    # and no equation reads a density
+    for line in ("bogus_key = 3", "solver.preconditioner = jacobi",
+                 "material.density = 1.0"):
+        cfg.write_text(f"problem = mandel\n{line}\n")
+        with pytest.raises(ConfigError) as err:
+            parse_config(cfg)
+        assert err.value.line == 2
+        assert main(["fom", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")]) == 2
+
+
+@pytest.mark.parametrize("line", ["cells = 8y4", "solver.method = lu"])
+def test_bad_value_rejected_with_line(tmp_path, line):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"problem = mandel\n{line}\n")
     with pytest.raises(ConfigError) as err:
         parse_config(cfg)
     assert err.value.line == 2
+
+
+def test_config_keys_name_dataclass_fields():
+    sections = {"solver": LinearSolverConfig, "moredwr": adaptive.MoreDwrConfig,
+                "material": MaterialParams}
+    fields = {f"{section}.{f.name}" for section, cls in sections.items()
+              for f in dataclasses.fields(cls)}
+    dotted = {key for key in CONFIG_KEYS if "." in key}
+    assert dotted <= fields
+    assert fields - dotted == {"moredwr.tol_rel"}  # set by the key ``tol``
+    assert "tol" in CONFIG_KEYS
+
+
+def test_readme_config_block_lists_every_key(tmp_path):
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Configuration files", 1)[1]
+    block = section.split("```", 2)[1]
+    cfg = tmp_path / "readme.cfg"
+    cfg.write_text(block)
+    assert set(read_config_file(cfg)) == set(CONFIG_KEYS)
 
 
 def test_config_file_parsing(tmp_path):

@@ -42,7 +42,7 @@ def test_exact_error_identity_with_fom_dual(mandel_small, mandel_small_fom):
         pp = truncated_pod_basis(P_snap, rank)
         red = project_operators(ops, (pu, pp), (du, dp))
         primal = solve_primal_rom(red, grid)
-        dual = ReducedTrajectory(dual_fom.U, dual_fom.P, "dual", red.versions)
+        dual = ReducedTrajectory(dual_fom.U, dual_fom.P, red.versions)
         eta = math.fsum(estimate_elementwise(red, primal, dual, grid))
         true_error = J_fom - reduced_goal(red, primal, grid)
         assert eta == pytest.approx(true_error, rel=1e-8)
@@ -53,8 +53,7 @@ def test_zero_dual_gives_zero_estimates(mandel_small):
     red = full_space_setup(ops)
     primal = solve_primal_rom(red, grid)
     zero_dual = ReducedTrajectory(np.zeros_like(primal.U),
-                                  np.zeros_like(primal.P), "dual",
-                                  red.versions)
+                                  np.zeros_like(primal.P), red.versions)
     eta_m = estimate_elementwise(red, primal, zero_dual, grid)
     assert np.abs(eta_m).max() == 0.0
 
@@ -138,7 +137,7 @@ def test_staleness_error(mandel_small):
     _, ops, grid = mandel_small
     red = full_space_setup(ops)
     primal = solve_primal_rom(red, grid)
-    stale = ReducedTrajectory(primal.U, primal.P, "primal", (9, 9, 9, 9))
+    stale = ReducedTrajectory(primal.U, primal.P, (9, 9, 9, 9))
     dual = solve_dual_rom(red, grid)
     with pytest.raises(StaleOperatorsError):
         estimate_elementwise(red, stale, dual, grid)

@@ -187,21 +187,19 @@ def test_evaluate_goal_examples(mandel_small):
     _, ops, grid = mandel_small
     M = grid.num_elements
     # constant p == 1: J = |Gamma_bottom| * T
-    ones = Trajectory(np.zeros((M + 1, ops.n_u)), np.ones((M + 1, ops.n_p)),
-                      "primal")
+    ones = Trajectory(np.zeros((M + 1, ops.n_u)), np.ones((M + 1, ops.n_p)))
     J = evaluate_goal(ones, grid, ops.g_goal)
     # the goal vector is zeroed on the constrained right-edge dof
     expected_measure = ops.g_goal.sum()
     assert J == pytest.approx(expected_measure * 5.0e6, rel=1e-12)
 
-    zero = Trajectory(np.zeros((M + 1, ops.n_u)), np.zeros((M + 1, ops.n_p)),
-                      "primal")
+    zero = Trajectory(np.zeros((M + 1, ops.n_u)), np.zeros((M + 1, ops.n_p)))
     assert evaluate_goal(zero, grid, ops.g_goal) == 0.0
 
 
 def test_evaluate_goal_hand_example():
     grid = TimeGrid(t_end=2.0, num_elements=1)
-    traj = Trajectory(np.zeros((2, 0)), np.array([[0.0], [3.0]]), "primal")
+    traj = Trajectory(np.zeros((2, 0)), np.array([[0.0], [3.0]]))
     assert evaluate_goal(traj, grid, np.array([1.0])) == pytest.approx(6.0)
 
 

@@ -9,14 +9,13 @@ from poromor.adaptive import run_moredwr
 from poromor.fom import StepSystem, evaluate_goal, run_primal_fom
 from poromor.linsolve import (ConvergenceError, Factorization,
                               FactorizationError, LinearSolverConfig,
-                              Preconditioner, SolverMethod, _gmres,
-                              _openblas_thread_controls, gmres_solve)
+                              SolverMethod, _gmres, _openblas_thread_controls,
+                              gmres_solve)
 from poromor.problems import build_problem, mandel_spec
 
 GMRES_CFG = LinearSolverConfig(method=SolverMethod.GMRES,
                                gmres_tolerance=5e-8, gmres_restart=100,
-                               max_iterations=5000,
-                               preconditioner=Preconditioner.JACOBI)
+                               max_iterations=5000)
 
 
 def test_factorize_identity():
@@ -176,8 +175,7 @@ def test_gmres_nonconvergence_error():
     rng = np.random.default_rng(1)
     A = sp.csr_matrix(rng.standard_normal((60, 60)) + 2 * np.eye(60))
     cfg = LinearSolverConfig(method=SolverMethod.GMRES, gmres_tolerance=1e-14,
-                             gmres_restart=2, max_iterations=4,
-                             preconditioner=Preconditioner.NONE)
+                             gmres_restart=2, max_iterations=4)
     with pytest.raises(ConvergenceError) as err:
         gmres_solve(A, rng.standard_normal(60), cfg)
     assert err.value.residual > 0
