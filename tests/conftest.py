@@ -34,7 +34,7 @@ def make_identity_basis(n: int) -> "PodBasis":
     from poromor.pod import PodBasis
 
     return PodBasis(np.eye(n), np.ones(n), energy_threshold=1.0,
-                    total_energy=float(n), snapshot_count=n, version=0)
+                    total_energy=float(n), version=0)
 
 
 def truncated_pod_basis(snapshots: np.ndarray, rank: int) -> "PodBasis":
@@ -44,4 +44,4 @@ def truncated_pod_basis(snapshots: np.ndarray, rank: int) -> "PodBasis":
     full = ipod_update(PodBasis.empty(snapshots.shape[0], 1.0), snapshots)
     return PodBasis(full.modes[:, :rank], full.singular_values[:rank],
                     energy_threshold=1.0, total_energy=full.total_energy,
-                    snapshot_count=full.snapshot_count, version=full.version)
+                    version=full.version)

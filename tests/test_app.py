@@ -230,6 +230,13 @@ def test_cli_moredwr_without_reference(tmp_path):
     assert summary["eta_rel_pct"] != ""
 
 
+def test_cli_moredwr_bunch_wider_than_basis_rows(tmp_path):
+    # the 1x1 mesh has a 4-row pressure basis; the extra dual enrichment
+    # feeds it a bunch of five snapshots at once
+    assert main(["moredwr", "--problem", "mandel", "--cells", "1x1",
+                 "--steps", "10", "--out", str(tmp_path / "x")]) == 0
+
+
 def test_compare_table(tmp_path):
     dirs = []
     for i, tol in enumerate(("0.20", "0.02")):

@@ -100,8 +100,7 @@ def test_estimates_invariant_under_mode_permutation(mandel_small,
 
     def run(order):
         pp_perm = PodBasis(pp.modes[:, order], pp.singular_values[order],
-                           1.0, pp.total_energy, pp.snapshot_count,
-                           version=pp.version)
+                           1.0, pp.total_energy, version=pp.version)
         red = project_operators(ops, (pu, pp_perm), (du, dp))
         primal = solve_primal_rom(red, grid)
         dual = solve_dual_rom(red, grid)

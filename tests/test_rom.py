@@ -21,7 +21,7 @@ def identity_bases(ops):
 def random_orthonormal(n, r, seed):
     rng = np.random.default_rng(seed)
     q, _ = np.linalg.qr(rng.standard_normal((n, r)))
-    return PodBasis(q, np.ones(r), 1.0, float(r), r, version=seed)
+    return PodBasis(q, np.ones(r), 1.0, float(r), version=seed)
 
 
 def test_identity_bases_reproduce_fom_blocks(mandel_small):
@@ -177,7 +177,7 @@ def test_degenerate_basis_error(mandel_small):
     _, ops, grid = mandel_small
     col = np.zeros((ops.n_u, 2))
     col[0, 0] = col[0, 1] = 1.0  # duplicated column: singular projection
-    bad = PodBasis(col, np.ones(2), 1.0, 2.0, 2, version=0)
+    bad = PodBasis(col, np.ones(2), 1.0, 2.0, version=0)
     pp = random_orthonormal(ops.n_p, 2, 7)
     red = project_operators(ops, (bad, pp), (bad, pp))
     with pytest.raises(DegenerateBasisError):
