@@ -166,7 +166,13 @@ def cmd_compare(args) -> int:
 def main(argv=None) -> int:
     import logging
 
-    logging.basicConfig(level=os.environ.get("POROMOR_LOG", "WARNING"),
+    level = os.environ.get("POROMOR_LOG", "WARNING")
+    if not isinstance(logging.getLevelName(level), int):
+        print(f"configuration error: POROMOR_LOG={level!r} is not a "
+              "logging level (DEBUG, INFO, WARNING, ERROR or CRITICAL)",
+              file=sys.stderr)
+        return EXIT_CONFIG
+    logging.basicConfig(level=level,
                         format="%(asctime)s %(levelname)s %(message)s")
     parser = _build_parser()
     args = parser.parse_args(argv)

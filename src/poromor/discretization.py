@@ -63,22 +63,6 @@ class StructuredMesh:
         """Edge lengths of a single cell (constant over the grid)."""
         return self.extent / np.asarray(self.cells_per_axis, dtype=float)
 
-    def cell_multi_index(self, cell_id: int) -> tuple[int, ...]:
-        idx = []
-        rem = cell_id
-        for n in self.cells_per_axis:
-            idx.append(rem % n)
-            rem //= n
-        return tuple(idx)
-
-    def facet_centroid(self, cell_id: int, local_face: int) -> np.ndarray:
-        axis, side = divmod(local_face, 2)
-        h = self.cell_size
-        lo = self.origin + np.asarray(self.cell_multi_index(cell_id)) * h
-        centroid = lo + 0.5 * h
-        centroid[axis] = lo[axis] + side * h[axis]
-        return centroid
-
     def facet_area(self, local_face: int) -> float:
         axis = local_face // 2
         h = self.cell_size
@@ -127,6 +111,15 @@ def build_structured_mesh(origin, extent, cells_per_axis) -> StructuredMesh:
     return StructuredMesh(origin, extent, cells, boundary)
 
 
+# the tag of each local face ``2 * axis + side``
+_FACE_TAGS = {
+    ProblemKind.MANDEL: (BoundaryTag.LEFT, BoundaryTag.RIGHT,
+                         BoundaryTag.BOTTOM, BoundaryTag.TOP),
+    ProblemKind.FOOTING: (BoundaryTag.WALL,) * 4 + (BoundaryTag.BOTTOM,
+                                                    BoundaryTag.TOP),
+}
+
+
 def tag_boundaries(mesh: StructuredMesh, problem_kind: ProblemKind) -> StructuredMesh:
     """Tag all exterior facets for the given benchmark geometry.
 
@@ -143,37 +136,19 @@ def tag_boundaries(mesh: StructuredMesh, problem_kind: ProblemKind) -> Structure
     if problem_kind is ProblemKind.FOOTING and dim != 3:
         raise ValueError(f"footing meshes are 3D, got dimension {dim}")
 
-    if problem_kind is ProblemKind.MANDEL:
-        valid = frozenset({BoundaryTag.LEFT, BoundaryTag.RIGHT,
-                           BoundaryTag.TOP, BoundaryTag.BOTTOM})
-    else:
-        valid = frozenset({BoundaryTag.BOTTOM, BoundaryTag.TOP,
-                           BoundaryTag.WALL, BoundaryTag.COMPRESSION})
-    center = mesh.origin + 0.5 * mesh.extent
-    quarter = 0.25 * mesh.extent
-    tagged: dict[tuple[int, int], BoundaryTag | None] = {}
-    for (cell, face) in mesh.boundary_facets:
-        axis, side = divmod(face, 2)
-        if problem_kind is ProblemKind.MANDEL:
-            tag = {
-                (0, 0): BoundaryTag.LEFT,
-                (0, 1): BoundaryTag.RIGHT,
-                (1, 0): BoundaryTag.BOTTOM,
-                (1, 1): BoundaryTag.TOP,
-            }[(axis, side)]
-        else:
-            if axis == 2:
-                if side == 0:
-                    tag = BoundaryTag.BOTTOM
-                else:
-                    c = mesh.facet_centroid(cell, face)
-                    inside = all(
-                        abs(c[ax] - center[ax]) < quarter[ax] for ax in (0, 1)
-                    )
-                    tag = BoundaryTag.COMPRESSION if inside else BoundaryTag.TOP
-            else:
-                tag = BoundaryTag.WALL
-        tagged[(cell, face)] = tag
+    face_tags = _FACE_TAGS[problem_kind]
+    valid = frozenset(face_tags)
+    tagged = {facet: face_tags[facet[1]] for facet in mesh.boundary_facets}
+    if problem_kind is ProblemKind.FOOTING:
+        valid |= {BoundaryTag.COMPRESSION}
+        # patch test on the x and y of the top facets' centroids
+        top = np.array([cell for cell, face in tagged if face == 5], dtype=int)
+        h = mesh.cell_size
+        lo = mesh.origin + _lex_indices(mesh.cells_per_axis)[top] * h
+        offset = np.abs(lo + 0.5 * h - (mesh.origin + 0.5 * mesh.extent))
+        inside = np.all(offset[:, :2] < 0.25 * mesh.extent[:2], axis=1)
+        for cell in top[inside]:
+            tagged[(int(cell), 5)] = BoundaryTag.COMPRESSION
     return replace(mesh, boundary_facets=tagged, valid_tags=valid)
 
 

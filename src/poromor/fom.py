@@ -163,7 +163,7 @@ class StepSystem:
                 matrix, rhs = self.dual_matrix, self.dual_rhs(p)
             else:
                 matrix, rhs = self.matrix, self.primal_rhs(u, p)
-            x, iters = gmres_solve(matrix, rhs, self.solver, x0=x)
+            x, iters = gmres_solve(matrix, rhs, x0=x)
             self.iteration_counts.append(iters)
         else:
             d = self._scale

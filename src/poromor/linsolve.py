@@ -4,7 +4,9 @@ Two paths: sparse LU factorization (reused across all time steps, with
 transpose solves for the dual problem) and restarted GMRES with a left
 Jacobi preconditioner for the large 3D systems.  The GMRES iteration is
 local (``_gmres``): it computes bitwise what scipy's ``gmres`` computes,
-without that function's per-iteration Python overhead.
+without that function's per-iteration Python overhead.  Every GMRES solve
+runs with the module constants GMRES_TOLERANCE (5e-8), GMRES_RESTART (100)
+and GMRES_MAX_ITERATIONS (5000).
 
 ``_one_blas_thread`` runs the sweeps' dense kernels on one OpenBLAS thread.
 """
@@ -29,6 +31,9 @@ __all__ = [
     "LinearSolverConfig",
     "Factorization",
     "gmres_solve",
+    "GMRES_TOLERANCE",
+    "GMRES_RESTART",
+    "GMRES_MAX_ITERATIONS",
     "FactorizationError",
     "ConvergenceError",
 ]
@@ -112,20 +117,17 @@ class ConvergenceError(RuntimeError):
         self.iterations = iterations
 
 
+# every GMRES solve's tolerance (relative, on the Jacobi-preconditioned
+# residual), restart length and cap on Arnoldi steps; gmres_solve reads
+# them at call time
+GMRES_TOLERANCE = 5.0e-8
+GMRES_RESTART = 100
+GMRES_MAX_ITERATIONS = 5000
+
+
 @dataclass(frozen=True)
 class LinearSolverConfig:
     method: SolverMethod = SolverMethod.DIRECT
-    gmres_tolerance: float = 5.0e-8
-    gmres_restart: int = 100
-    max_iterations: int = 5000
-
-    def validate(self) -> None:
-        if self.gmres_tolerance <= 0:
-            raise ValueError("gmres_tolerance must be positive")
-        if self.gmres_restart < 1:
-            raise ValueError("gmres_restart must be >= 1")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
 
 
 class Factorization:
@@ -151,7 +153,6 @@ class Factorization:
 
 
 def gmres_solve(matrix: sp.spmatrix, rhs: np.ndarray,
-                config: LinearSolverConfig,
                 x0: np.ndarray | None = None) -> tuple[np.ndarray, int]:
     """Restarted GMRES solve, left-preconditioned with Jacobi.
 
@@ -159,9 +160,9 @@ def gmres_solve(matrix: sp.spmatrix, rhs: np.ndarray,
     preconditioned right-hand side; the plain relative residual is verified
     to stay within 10x the tolerance.  GMRES runs on the preconditioned
     operator, so the residual it minimizes and stops on is the one this
-    criterion measures, which keeps warm starts cheap.
+    criterion measures, which keeps warm starts cheap.  The tolerance,
+    restart length and iteration cap are the module's GMRES_* constants.
     """
-    config.validate()
     if matrix.shape[0] != matrix.shape[1]:
         raise ValueError("matrix must be square")
     rhs = np.asarray(rhs, dtype=float)
@@ -182,19 +183,18 @@ def gmres_solve(matrix: sp.spmatrix, rhs: np.ndarray,
     b_prec = prec(rhs)
     norm_mb = np.linalg.norm(b_prec)
 
-    tol = config.gmres_tolerance
+    tol = GMRES_TOLERANCE
     iterations = 0
     x = x0
     r_prec = None  # b_prec - op(x), once known
     rtol = tol
     rel_plain = rel_prec = math.inf
     for _ in range(6):
-        remaining = config.max_iterations - iterations
+        remaining = GMRES_MAX_ITERATIONS - iterations
         if remaining <= 0:
             break
-        cycles = max(1, math.ceil(remaining / config.gmres_restart))
-        x, inner = _gmres(op, b_prec, x, rtol, config.gmres_restart, cycles,
-                          r_prec)
+        cycles = max(1, math.ceil(remaining / GMRES_RESTART))
+        x, inner = _gmres(op, b_prec, x, rtol, GMRES_RESTART, cycles, r_prec)
         iterations += inner
         # unless it returns at once, _gmres ends on b - op(x) for the x it
         # returns, so op's last product is that of x

@@ -77,7 +77,6 @@ class ProblemSpec:
         if any(n < 1 for n in self.cells_per_axis):
             raise ConfigError(f"cell counts must be >= 1, got {self.cells_per_axis}")
         self.material.validate()
-        self.solver.validate()
         self.moredwr.validate()
 
 
@@ -171,9 +170,6 @@ CONFIG_KEYS: dict[str, Callable[[str], object]] = {
     "t_end": float,
     "tol": float,
     "solver.method": _parse_choice(SolverMethod),
-    "solver.gmres_tolerance": float,
-    "solver.gmres_restart": int,
-    "solver.max_iterations": int,
     "moredwr.energy_primal_u": float,
     "moredwr.energy_primal_p": float,
     "moredwr.energy_dual_u": float,

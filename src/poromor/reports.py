@@ -188,7 +188,7 @@ def _short(value) -> str:
         number = float(value)
     except (TypeError, ValueError):
         return str(value)
-    if number == int(number) and abs(number) < 1e6:
+    if math.isfinite(number) and number == int(number) and abs(number) < 1e6:
         return str(int(number))
     return f"{number:.4g}"
 

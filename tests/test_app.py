@@ -1,11 +1,12 @@
 import csv
 import dataclasses
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from poromor import adaptive, reports
+from poromor import adaptive, linsolve, reports
 from poromor.cli import main
 from poromor.discretization import BoundaryTag, ProblemKind
 from poromor.estimator import DegenerateNormalizationError
@@ -40,7 +41,7 @@ def test_footing_defaults():
     spec = parse_config(None, {"problem": "footing"})
     assert spec.cells_per_axis == (16, 16, 16)
     assert spec.solver.method is SolverMethod.GMRES
-    assert spec.solver.gmres_tolerance == pytest.approx(5.0e-8)
+    assert linsolve.GMRES_TOLERANCE == pytest.approx(5.0e-8)
     assert spec.moredwr.extra_dual_iterations == 8
     assert spec.goal_tag is BoundaryTag.COMPRESSION
     assert spec.traction_direction == (0.0, 0.0, 1.0)
@@ -61,10 +62,12 @@ def test_negative_steps_rejected():
 
 def test_unknown_key_rejected_with_line(tmp_path):
     cfg = tmp_path / "run.cfg"
-    # the last two keys are retired: GMRES is always Jacobi-preconditioned
-    # and no equation reads a density
+    # all keys but the first are retired: GMRES is always
+    # Jacobi-preconditioned, its tolerance, restart length and iteration cap
+    # are linsolve constants, and no equation reads a density
     for line in ("bogus_key = 3", "solver.preconditioner = jacobi",
-                 "material.density = 1.0"):
+                 "solver.gmres_tolerance = 5e-8", "solver.gmres_restart = 100",
+                 "solver.max_iterations = 5000", "material.density = 1.0"):
         cfg.write_text(f"problem = mandel\n{line}\n")
         with pytest.raises(ConfigError) as err:
             parse_config(cfg)
@@ -199,13 +202,20 @@ def test_cli_nonconvergence_exit_code_and_partial_outputs(tmp_path):
     assert (out / reports.ITERATIONS_CSV).exists()
 
 
-def test_cli_solver_failure_exit_code(tmp_path):
-    cfg = tmp_path / "gmres.cfg"
-    cfg.write_text("solver.max_iterations = 1\nsolver.gmres_restart = 1\n")
+def test_cli_solver_failure_exit_code(tmp_path, monkeypatch):
+    monkeypatch.setattr(linsolve, "GMRES_MAX_ITERATIONS", 1)
+    monkeypatch.setattr(linsolve, "GMRES_RESTART", 1)
     code = main(["fom", "--problem", "mandel", "--cells", "4x2", "--steps",
-                 "2", "--solver", "gmres", "--config", str(cfg),
-                 "--out", str(tmp_path / "sf")])
+                 "2", "--solver", "gmres", "--out", str(tmp_path / "sf")])
     assert code == 3
+
+
+def test_cli_bad_log_level_exit_code(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("POROMOR_LOG", "verbose")
+    code = main(["fom", "--problem", "mandel", "--cells", "2x1", "--steps",
+                 "2", "--out", str(tmp_path / "x")])
+    assert code == 2
+    assert "POROMOR_LOG" in capsys.readouterr().err
 
 
 def test_cli_reference_fingerprint_guard(tmp_path):
@@ -230,6 +240,24 @@ def test_cli_moredwr_without_reference(tmp_path):
     assert summary["eta_rel_pct"] != ""
 
 
+def test_cli_no_extra_dual_enrichment(tmp_path):
+    # without the extra dual enrichment each iteration but the last adds one
+    # primal and one dual step to the two seed steps
+    runs = []
+    for flags in ([], ["--no-extra-dual-enrichment"]):
+        out = tmp_path / f"run{len(flags)}"
+        assert main(["moredwr", "--problem", "mandel", "--cells", "4x2",
+                     "--steps", "20", "--tol", "0.02", "--min-iterations",
+                     "0", *flags, "--out", str(out)]) == 0
+        with open(out / reports.ITERATIONS_CSV) as handle:
+            rows = len(list(csv.DictReader(handle)))
+        runs.append((int(reports.read_summary(out)["fom_solves"]), rows))
+    (with_extra, _), (without_extra, rows) = runs
+    assert rows >= 2
+    assert without_extra == 2 * rows
+    assert with_extra > without_extra
+
+
 def test_cli_moredwr_bunch_wider_than_basis_rows(tmp_path):
     # the 1x1 mesh has a 4-row pressure basis; the extra dual enrichment
     # feeds it a bunch of five snapshots at once
@@ -252,6 +280,22 @@ def test_compare_table(tmp_path):
     assert float(rows[0]["tol_rel_pct"]) < float(rows[1]["tol_rel_pct"])
 
     assert main(["compare", dirs[0]]) == 0  # single bundle is fine
+
+
+def test_compare_prints_non_finite_indices(tmp_path, capsys):
+    # eta or the sum of |eta_m| at zero makes I_eff or I_ind non-finite
+    dirs = []
+    for tol in (1.0, 5.0):
+        out = tmp_path / f"tol{tol}"
+        reports.write_summary(out, {
+            "fingerprint": "mandel:4x2:20:5000000", "run_kind": "moredwr",
+            "tol_rel_pct": tol, "e_rel_pct": 0.5, "speedup": 2.0,
+            "fom_solves": 4, "rom_size": "1 / 1 + 1 / 1",
+            "I_eff": math.inf, "I_ind": math.nan})
+        dirs.append(str(out))
+    assert main(["compare", *dirs]) == 0
+    last_row = capsys.readouterr().out.splitlines()[-1].split()
+    assert last_row[-2:] == ["inf", "nan"]
 
 
 def test_compare_rejects_mixed_problems(tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 from contextlib import contextmanager
 
 import numpy as np
@@ -5,17 +6,15 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from poromor import linsolve
 from poromor.adaptive import run_moredwr
 from poromor.fom import StepSystem, evaluate_goal, run_primal_fom
-from poromor.linsolve import (ConvergenceError, Factorization,
+from poromor.linsolve import (GMRES_MAX_ITERATIONS, GMRES_RESTART,
+                              GMRES_TOLERANCE, ConvergenceError, Factorization,
                               FactorizationError, LinearSolverConfig,
                               SolverMethod, _gmres, _openblas_thread_controls,
                               gmres_solve)
 from poromor.problems import build_problem, mandel_spec
-
-GMRES_CFG = LinearSolverConfig(method=SolverMethod.GMRES,
-                               gmres_tolerance=5e-8, gmres_restart=100,
-                               max_iterations=5000)
 
 
 def test_factorize_identity():
@@ -56,14 +55,14 @@ def test_factorize_transpose_solve():
 def test_gmres_diagonal_one_iteration():
     A = sp.csr_matrix(np.diag([1.0, 10.0, 100.0]))
     b = np.array([1.0, 2.0, 3.0])
-    x, iters = gmres_solve(A, b, GMRES_CFG)
+    x, iters = gmres_solve(A, b)
     assert iters == 1
     np.testing.assert_allclose(A @ x, b, rtol=1e-10)
 
 
 def test_gmres_zero_rhs():
     A = sp.identity(4, format="csr")
-    x, iters = gmres_solve(A, np.zeros(4), GMRES_CFG)
+    x, iters = gmres_solve(A, np.zeros(4))
     assert iters == 0
     assert np.abs(x).max() == 0.0
 
@@ -74,7 +73,7 @@ def test_gmres_matches_direct_on_step_system(mandel_small):
     zeros = np.zeros(ops.n_u), np.zeros(ops.n_p)
     rhs = direct.primal_rhs(*zeros)
     x_direct = np.concatenate(direct.solve_primal(*zeros))
-    x_gmres, iters = gmres_solve(direct.matrix, rhs, GMRES_CFG)
+    x_gmres, iters = gmres_solve(direct.matrix, rhs)
     assert iters > 0
     rel = np.abs(x_gmres - x_direct).max() / np.abs(x_direct).max()
     assert rel < 1e-6
@@ -87,12 +86,12 @@ def test_gmres_residual_invariant(mandel_small):
     rng = np.random.default_rng(11)
     for _ in range(3):
         rhs = system.matrix @ rng.standard_normal(ops.n_u + ops.n_p)
-        x, _ = gmres_solve(system.matrix, rhs, GMRES_CFG)
+        x, _ = gmres_solve(system.matrix, rhs)
         rel = np.linalg.norm(rhs - system.matrix @ x) / np.linalg.norm(rhs)
-        assert rel < 10 * GMRES_CFG.gmres_tolerance
+        assert rel < 10 * GMRES_TOLERANCE
         diag = system.matrix.diagonal()
         prec = np.linalg.norm((rhs - system.matrix @ x) / diag)
-        assert prec / np.linalg.norm(rhs / diag) <= GMRES_CFG.gmres_tolerance
+        assert prec / np.linalg.norm(rhs / diag) <= GMRES_TOLERANCE
 
 
 def test_gmres_matches_direct_footing_3d():
@@ -104,7 +103,7 @@ def test_gmres_matches_direct_footing_3d():
     zeros = np.zeros(ops.n_u), np.zeros(ops.n_p)
     rhs = direct.primal_rhs(*zeros)
     x_direct = np.concatenate(direct.solve_primal(*zeros))
-    x_gmres, _ = gmres_solve(direct.matrix, rhs, GMRES_CFG)
+    x_gmres, _ = gmres_solve(direct.matrix, rhs)
     rel = np.abs(x_gmres - x_direct).max() / np.abs(x_direct).max()
     assert rel < 1e-6
 
@@ -164,20 +163,21 @@ def test_gmres_warm_start_forms_each_product_once(mandel_small):
     x0 = x_direct * (1.0 + 1e-3 * noise)
 
     matrix = CountingCSR(system.matrix)
-    x, iterations = gmres_solve(matrix, rhs, GMRES_CFG, x0=x0)
-    assert 0 < iterations < GMRES_CFG.gmres_restart
+    x, iterations = gmres_solve(matrix, rhs, x0=x0)
+    assert 0 < iterations < GMRES_RESTART
     assert matrix.products == iterations + 2
-    x_plain, _ = gmres_solve(system.matrix, rhs, GMRES_CFG, x0=x0)
+    x_plain, _ = gmres_solve(system.matrix, rhs, x0=x0)
     assert np.array_equal(x, x_plain)
 
 
-def test_gmres_nonconvergence_error():
+def test_gmres_nonconvergence_error(monkeypatch):
     rng = np.random.default_rng(1)
     A = sp.csr_matrix(rng.standard_normal((60, 60)) + 2 * np.eye(60))
-    cfg = LinearSolverConfig(method=SolverMethod.GMRES, gmres_tolerance=1e-14,
-                             gmres_restart=2, max_iterations=4)
+    monkeypatch.setattr(linsolve, "GMRES_TOLERANCE", 1e-14)
+    monkeypatch.setattr(linsolve, "GMRES_RESTART", 2)
+    monkeypatch.setattr(linsolve, "GMRES_MAX_ITERATIONS", 4)
     with pytest.raises(ConvergenceError) as err:
-        gmres_solve(A, rng.standard_normal(60), cfg)
+        gmres_solve(A, rng.standard_normal(60))
     assert err.value.residual > 0
     assert err.value.iterations > 0
 
@@ -185,15 +185,14 @@ def test_gmres_nonconvergence_error():
 def test_jacobi_rejects_zero_diagonal():
     A = sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
     with pytest.raises(ValueError):
-        gmres_solve(A, np.ones(2), GMRES_CFG)
+        gmres_solve(A, np.ones(2))
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        LinearSolverConfig(gmres_tolerance=0.0).validate()
-    with pytest.raises(ValueError):
-        LinearSolverConfig(gmres_restart=0).validate()
-    LinearSolverConfig().validate()
+    # the GMRES settings are module constants; the config is the method
+    assert [f.name for f in dataclasses.fields(LinearSolverConfig)] == ["method"]
+    assert GMRES_TOLERANCE > 0
+    assert 1 <= GMRES_RESTART <= GMRES_MAX_ITERATIONS
 
 
 def test_step_matrix_ordering_fill_and_residuals():
@@ -248,9 +247,9 @@ def test_results_do_not_depend_on_blas_threads():
     assert run(2) == run(1)
 
 
-def test_sweeps_restore_the_callers_blas_threads(mandel_small):
+def test_sweeps_restore_the_callers_blas_threads(mandel_small, monkeypatch):
     _, ops, grid = mandel_small
-    failing = LinearSolverConfig(method=SolverMethod.GMRES, max_iterations=1)
+    monkeypatch.setattr(linsolve, "GMRES_MAX_ITERATIONS", 1)
 
     def counts():
         return [get() for _, get in _openblas_thread_controls()]
@@ -259,5 +258,6 @@ def test_sweeps_restore_the_callers_blas_threads(mandel_small):
         run_primal_fom(ops, grid)
         assert set(counts()) == {2}
         with pytest.raises(ConvergenceError):
-            run_primal_fom(ops, grid, solver=failing)
+            run_primal_fom(
+                ops, grid, solver=LinearSolverConfig(method=SolverMethod.GMRES))
         assert set(counts()) == {2}
