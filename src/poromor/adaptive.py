@@ -67,8 +67,12 @@ class MoreDwrConfig:
             raise ValueError("extra dual enrichment counts must be >= 0")
         if self.min_iterations < 0:
             raise ValueError("min_iterations must be >= 0")
-        if self.max_iterations is not None and self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
+        # the loop may stop only after min_iterations, so a cap at or below
+        # it could never converge
+        if (self.max_iterations is not None
+                and self.max_iterations <= self.min_iterations):
+            raise ValueError(f"max_iterations ({self.max_iterations}) must exceed "
+                             f"min_iterations ({self.min_iterations})")
 
 
 @dataclass
@@ -203,7 +207,8 @@ def run_moredwr(ops: BlockOperators, grid: TimeGrid, config: MoreDwrConfig,
         raise ValueError("adaptive run needs at least one temporal element")
     start = time.perf_counter()
     record = RunRecord(tol_rel=config.tol_rel, J_fom=reference_goal)
-    max_iterations = config.max_iterations or max(grid.num_elements, 1)
+    max_iterations = config.max_iterations or max(grid.num_elements,
+                                                  config.min_iterations + 1)
 
     system = StepSystem(ops, grid.k, solver)
     bases, record.init_solves = initialize_bases(ops, config, system)

@@ -21,7 +21,8 @@ from functools import lru_cache
 import numpy as np
 import scipy.sparse as sp
 
-from .discretization import BoundaryTag, ProblemKind, TaylorHoodSpace
+from .discretization import (BoundaryTag, ProblemKind, TaylorHoodSpace,
+                             _lex_indices)
 
 __all__ = [
     "MaterialParams",
@@ -68,11 +69,11 @@ class MaterialParams:
 
 @dataclass
 class BlockOperators:
-    """Assembled sparse blocks plus load/goal vectors and constraint sets.
+    """Assembled sparse blocks plus load and goal vectors.
 
-    ``dirichlet_u``/``dirichlet_p`` hold the constrained dof indices; both
-    benchmarks prescribe zero values.  ``constrained`` records whether
-    :func:`apply_dirichlet` has eliminated them symmetrically.
+    Operators leave :func:`assemble_operators` constrained: the benchmark
+    Dirichlet dofs (zero values in both benchmarks) are eliminated
+    symmetrically by :func:`apply_dirichlet`.
     """
 
     space: TaylorHoodSpace
@@ -83,9 +84,6 @@ class BlockOperators:
     D_pu: sp.csr_matrix
     f_traction: np.ndarray
     g_goal: np.ndarray
-    dirichlet_u: np.ndarray
-    dirichlet_p: np.ndarray
-    constrained: bool = False
 
     @property
     def n_u(self) -> int:
@@ -100,144 +98,63 @@ class BlockOperators:
 # reference-cell shape tables
 # ----------------------------------------------------------------------------
 
-def _q2_1d(x):
-    x = np.asarray(x, dtype=float)
-    return np.stack([0.5 * x * (x - 1.0), 1.0 - x * x, 0.5 * x * (x + 1.0)], axis=-1)
+def _basis_1d(x, degree: int):
+    """1-D Lagrange values and derivatives at ``x`` on the nodes (-1, 0, 1)
+    (degree 2) or (-1, 1) (degree 1), each of shape (len(x), degree + 1)."""
+    if degree == 2:
+        vals = [0.5 * x * (x - 1.0), 1.0 - x * x, 0.5 * x * (x + 1.0)]
+        ders = [x - 0.5, -2.0 * x, x + 0.5]
+    else:
+        vals = [0.5 * (1.0 - x), 0.5 * (1.0 + x)]
+        ders = [np.full_like(x, -0.5), np.full_like(x, 0.5)]
+    return np.stack(vals, axis=-1), np.stack(ders, axis=-1)
 
 
-def _q2_1d_deriv(x):
-    x = np.asarray(x, dtype=float)
-    return np.stack([x - 0.5, -2.0 * x, x + 0.5], axis=-1)
+def _tables(points, h, degree: int):
+    """Tensor-product Q``degree`` values (q, n_loc) and physical gradients
+    (q, n_loc, dim) at reference points (q, dim) of a cell with edges ``h``.
 
-
-def _q1_1d(x):
-    x = np.asarray(x, dtype=float)
-    return np.stack([0.5 * (1.0 - x), 0.5 * (1.0 + x)], axis=-1)
-
-
-def _q1_1d_deriv(x):
-    x = np.asarray(x, dtype=float)
-    return np.stack([np.full_like(x, -0.5), np.full_like(x, 0.5)], axis=-1)
-
-
-def _tensor_values(points, vals_1d, per_axis):
-    """Tensor-product basis values at points (q, dim) -> (q, per_axis**dim)."""
+    Local nodes are numbered like the dof maps' cells, by
+    :func:`~poromor.discretization._lex_indices`.
+    """
     dim = points.shape[1]
-    n_loc = per_axis**dim
-    out = np.ones((points.shape[0], n_loc))
-    for loc in range(n_loc):
-        rem = loc
-        for ax in range(dim):
-            out[:, loc] *= vals_1d(points[:, ax])[:, rem % per_axis]
-            rem //= per_axis
-    return out
-
-
-def _tensor_grads(points, vals_1d, derivs_1d, per_axis):
-    """Reference gradients at points -> (q, per_axis**dim, dim)."""
-    dim = points.shape[1]
-    n_loc = per_axis**dim
-    out = np.ones((points.shape[0], n_loc, dim))
-    for loc in range(n_loc):
-        rem = loc
-        for ax in range(dim):
-            idx = rem % per_axis
-            rem //= per_axis
-            factor_v = vals_1d(points[:, ax])[:, idx]
-            factor_d = derivs_1d(points[:, ax])[:, idx]
-            for der in range(dim):
-                out[:, loc, der] *= factor_d if der == ax else factor_v
-    return out
+    local = _lex_indices((degree + 1,) * dim)
+    # (q, n_loc, axis): each local node's 1-D factor along each axis.  take()
+    # keeps the tables C-ordered; einsum's summation order follows the layout
+    vals, ders = zip(*(_basis_1d(points[:, ax], degree) for ax in range(dim)))
+    V, D = (np.stack([t.take(local[:, ax], axis=1) for ax, t in enumerate(ts)], axis=-1)
+            for ts in (vals, ders))
+    # d/dx_k differentiates the factor of axis k only: (q, n_loc, k, axis)
+    grad_factors = np.where(np.eye(dim, dtype=bool), D[:, :, None], V[:, :, None])
+    return np.prod(V, axis=-1), np.prod(grad_factors, axis=-1) * (2.0 / np.asarray(h))
 
 
 @lru_cache(maxsize=None)
 def _volume_rule(dim: int, n_1d: int = GAUSS_POINTS_PER_AXIS):
+    """Tensor Gauss rule on [-1, 1]^dim; points (q, dim), the last axis fastest."""
     pts1, wts1 = np.polynomial.legendre.leggauss(n_1d)
-    grids = np.meshgrid(*([pts1] * dim), indexing="ij")
-    points = np.stack([g.reshape(-1) for g in grids], axis=1)
-    wgrids = np.meshgrid(*([wts1] * dim), indexing="ij")
-    weights = np.ones(points.shape[0])
-    for g in wgrids:
-        weights *= g.reshape(-1)
-    return points, weights
+    idx = _lex_indices((n_1d,) * dim)[:, ::-1]
+    return pts1[idx], np.prod(wts1[idx], axis=1)
 
 
 @lru_cache(maxsize=None)
 def _facet_rule(dim: int, local_face: int, n_1d: int = GAUSS_POINTS_PER_AXIS):
     """Quadrature points on a reference-cell face, embedded in dim coords."""
     axis, side = divmod(local_face, 2)
-    if dim == 2:
-        sub_pts, weights = np.polynomial.legendre.leggauss(n_1d)
-        sub_pts = sub_pts.reshape(-1, 1)
-    else:
-        sub_pts, weights = _volume_rule(2, n_1d)
-    points = np.empty((sub_pts.shape[0], dim))
-    other = [ax for ax in range(dim) if ax != axis]
-    for j, ax in enumerate(other):
-        points[:, ax] = sub_pts[:, j]
-    points[:, axis] = -1.0 if side == 0 else 1.0
-    return points, np.atleast_1d(weights)
+    sub_pts, weights = _volume_rule(dim - 1, n_1d)
+    return np.insert(sub_pts, axis, -1.0 if side == 0 else 1.0, axis=1), weights
 
 
-def _u_tables(points, h):
-    vals = _tensor_values(points, _q2_1d, 3)
-    grads = _tensor_grads(points, _q2_1d, _q2_1d_deriv, 3)
-    return vals, grads * (2.0 / np.asarray(h))
-
-
-def _p_tables(points, h):
-    vals = _tensor_values(points, _q1_1d, 2)
-    grads = _tensor_grads(points, _q1_1d, _q1_1d_deriv, 2)
-    return vals, grads * (2.0 / np.asarray(h))
+def _volume_tables(space: TaylorHoodSpace):
+    """Cell quadrature weights plus the Q2 and Q1 (values, gradients) tables."""
+    h = space.mesh.cell_size
+    points, weights = _volume_rule(space.dim)
+    return weights * np.prod(h / 2.0), _tables(points, h, 2), _tables(points, h, 1)
 
 
 # ----------------------------------------------------------------------------
 # element matrices and global scatter
 # ----------------------------------------------------------------------------
-
-def _elasticity_element(space: TaylorHoodSpace, mu: float, lam: float) -> np.ndarray:
-    dim = space.dim
-    h = space.mesh.cell_size
-    points, weights = _volume_rule(dim)
-    w = weights * np.prod(h / 2.0)
-    _, G = _u_tables(points, h)
-
-    lap = np.einsum("q,qak,qbk->ab", w, G, G)
-    t_mu = np.einsum("q,qaj,qbi->aibj", w, G, G)
-    t_lam = np.einsum("q,qai,qbj->aibj", w, G, G)
-
-    n_loc = G.shape[1]
-    elem = mu * t_mu + lam * t_lam
-    eye = np.eye(dim)
-    elem += mu * np.einsum("ab,ij->aibj", lap, eye)
-    elem = elem.reshape(n_loc * dim, n_loc * dim)
-    # exact symmetry (addition is commutative), not just round-off symmetry
-    return 0.5 * (elem + elem.T)
-
-
-def _pressure_elements(space: TaylorHoodSpace, c: float, kappa: float):
-    dim = space.dim
-    h = space.mesh.cell_size
-    points, weights = _volume_rule(dim)
-    w = weights * np.prod(h / 2.0)
-    V, G = _p_tables(points, h)
-    mass = c * np.einsum("q,qa,qb->ab", w, V, V)
-    stiff = kappa * np.einsum("q,qak,qbk->ab", w, G, G)
-    return 0.5 * (mass + mass.T), 0.5 * (stiff + stiff.T)
-
-
-def _divergence_element(space: TaylorHoodSpace, alpha: float) -> np.ndarray:
-    """alpha (div u, q): rows Q1 test, columns Q2 vector trial."""
-    dim = space.dim
-    h = space.mesh.cell_size
-    points, weights = _volume_rule(dim)
-    w = weights * np.prod(h / 2.0)
-    Vp, _ = _p_tables(points, h)
-    _, Gu = _u_tables(points, h)
-    d4 = alpha * np.einsum("q,qb,qai->bai", w, Vp, Gu)
-    n_q1, n_q2 = Vp.shape[1], Gu.shape[1]
-    return d4.reshape(n_q1, n_q2 * dim)
-
 
 def _triplets(rows_map, cols_map, elem):
     """COO (rows, cols, data) of one element matrix placed on every cell."""
@@ -270,8 +187,8 @@ def _boundary_faces(space: TaylorHoodSpace, tags):
             continue
         points, weights = _facet_rule(dim, local_face)
         w = weights * (mesh.facet_area(local_face) / 2 ** (dim - 1))
-        Vu, _ = _u_tables(points, mesh.cell_size)
-        Vp, _ = _p_tables(points, mesh.cell_size)
+        Vu, _ = _tables(points, mesh.cell_size, 2)
+        Vp, _ = _tables(points, mesh.cell_size, 1)
         yield local_face, cells, w, Vu, Vp
 
 
@@ -285,7 +202,19 @@ def assemble_elasticity(space: TaylorHoodSpace, mu: float, lam: float) -> sp.csr
     """Stiffness of sigma(u) = mu (grad u + grad u^T) + lambda (div u) I."""
     if mu <= 0 or lam < 0:
         raise ValueError("need mu > 0 and lambda >= 0")
-    elem = _elasticity_element(space, mu, lam)
+    dim = space.dim
+    w, (_, G), _ = _volume_tables(space)
+
+    lap = np.einsum("q,qak,qbk->ab", w, G, G)
+    t_mu = np.einsum("q,qaj,qbi->aibj", w, G, G)
+    t_lam = np.einsum("q,qai,qbj->aibj", w, G, G)
+
+    n_loc = G.shape[1]
+    elem = mu * t_mu + lam * t_lam
+    elem += mu * np.einsum("ab,ij->aibj", lap, np.eye(dim))
+    elem = elem.reshape(n_loc * dim, n_loc * dim)
+    # exact symmetry (addition is commutative), not just round-off symmetry
+    elem = 0.5 * (elem + elem.T)
     dofs = space.u_dof_map
     return _exact_symmetrize(_scatter(dofs, dofs, elem, (space.n_u, space.n_u)))
 
@@ -295,11 +224,13 @@ def assemble_pressure_blocks(space: TaylorHoodSpace, c: float, permeability: flo
     """Storage mass c (p, q) and Darcy stiffness (K/nu) (grad p, grad q)."""
     if c <= 0 or permeability <= 0 or viscosity <= 0:
         raise ValueError("c, permeability and viscosity must be positive")
-    mass_e, stiff_e = _pressure_elements(space, c, permeability / viscosity)
+    w, _, (V, G) = _volume_tables(space)
+    mass = c * np.einsum("q,qa,qb->ab", w, V, V)
+    stiff = (permeability / viscosity) * np.einsum("q,qak,qbk->ab", w, G, G)
     pmap = space.p_node_map
     shape = (space.n_p, space.n_p)
-    return (_exact_symmetrize(_scatter(pmap, pmap, mass_e, shape)),
-            _exact_symmetrize(_scatter(pmap, pmap, stiff_e, shape)))
+    return (_exact_symmetrize(_scatter(pmap, pmap, 0.5 * (mass + mass.T), shape)),
+            _exact_symmetrize(_scatter(pmap, pmap, 0.5 * (stiff + stiff.T), shape)))
 
 
 def assemble_coupling(space: TaylorHoodSpace, alpha: float,
@@ -310,11 +241,13 @@ def assemble_coupling(space: TaylorHoodSpace, alpha: float,
     term +alpha <p n, v> on the listed traction boundaries; ``D_pu`` is the
     pure volume divergence coupling alpha (div u, q).
     """
-    mesh = space.mesh
     for tag in neumann_tags:
-        _require_tag(mesh, tag)
+        _require_tag(space.mesh, tag)
 
-    d_elem = _divergence_element(space, alpha)
+    # alpha (div u, q): rows Q1 test, columns Q2 vector trial
+    w, (_, Gu), (Vp, _) = _volume_tables(space)
+    d4 = alpha * np.einsum("q,qb,qai->bai", w, Vp, Gu)
+    d_elem = d4.reshape(Vp.shape[1], Gu.shape[1] * space.dim)
     D_pu = _scatter(space.p_node_map, space.u_dof_map, d_elem,
                     (space.n_p, space.n_u))
     # the volume part is exactly -D_pu^T (integration-by-parts duality)
@@ -395,22 +328,15 @@ def dirichlet_dofs(space: TaylorHoodSpace, problem_kind: ProblemKind):
     return np.unique(u_dofs), np.unique(p_dofs)
 
 
-def _eliminate(mat: sp.csr_matrix, rows: np.ndarray | None,
-               cols: np.ndarray | None, unit_diag: bool) -> sp.csr_matrix:
-    n_r, n_c = mat.shape
-    out = mat
-    if rows is not None and rows.size:
-        mask = np.ones(n_r)
-        mask[rows] = 0.0
-        out = sp.diags(mask) @ out
-    if cols is not None and cols.size:
-        mask = np.ones(n_c)
-        mask[cols] = 0.0
-        out = out @ sp.diags(mask)
-    if unit_diag and rows is not None and rows.size:
-        ind = np.zeros(n_r)
-        ind[rows] = 1.0
-        out = out + sp.diags(ind)
+def _eliminate(mat: sp.csr_matrix, rows: np.ndarray, cols: np.ndarray,
+               unit_diag: bool) -> sp.csr_matrix:
+    keep_rows = np.ones(mat.shape[0])
+    keep_rows[rows] = 0.0
+    keep_cols = np.ones(mat.shape[1])
+    keep_cols[cols] = 0.0
+    out = sp.diags(keep_rows) @ mat @ sp.diags(keep_cols)
+    if unit_diag:
+        out = out + sp.diags(1.0 - keep_rows)
     return out.tocsr()
 
 
@@ -437,9 +363,6 @@ def apply_dirichlet(ops: BlockOperators, problem_kind: ProblemKind) -> BlockOper
         D_pu=_eliminate(ops.D_pu, dp, du, unit_diag=False),
         f_traction=f,
         g_goal=g,
-        dirichlet_u=du,
-        dirichlet_p=dp,
-        constrained=True,
     )
 
 
@@ -448,9 +371,8 @@ def assemble_operators(space: TaylorHoodSpace, material: MaterialParams,
                        traction_tag: BoundaryTag,
                        traction_direction: np.ndarray,
                        goal_tag: BoundaryTag,
-                       neumann_tags: tuple[BoundaryTag, ...],
-                       constrain: bool = True) -> BlockOperators:
-    """Assemble all blocks of one benchmark problem in one call."""
+                       neumann_tags: tuple[BoundaryTag, ...]) -> BlockOperators:
+    """Assemble and constrain all blocks of one benchmark problem."""
     material.validate()
     A = assemble_elasticity(space, material.lame_mu, material.lame_lambda)
     M, K = assemble_pressure_blocks(space, material.storage_coefficient,
@@ -459,9 +381,4 @@ def assemble_operators(space: TaylorHoodSpace, material: MaterialParams,
     f = assemble_traction(space, traction_tag, material.traction_magnitude,
                           traction_direction)
     g = assemble_goal_vector(space, goal_tag)
-    ops = BlockOperators(space, A, M, K, C, D, f, g,
-                         dirichlet_u=np.empty(0, dtype=np.int64),
-                         dirichlet_p=np.empty(0, dtype=np.int64))
-    if constrain:
-        ops = apply_dirichlet(ops, problem_kind)
-    return ops
+    return apply_dirichlet(BlockOperators(space, A, M, K, C, D, f, g), problem_kind)

@@ -90,8 +90,6 @@ class StepSystem:
 
     def __init__(self, ops: BlockOperators, k: float,
                  solver: LinearSolverConfig | None = None):
-        if not ops.constrained:
-            raise ValueError("step systems require constrained operators")
         self.ops = ops
         self.k = float(k)
         self.solver = solver or LinearSolverConfig()

@@ -202,6 +202,28 @@ def test_cli_nonconvergence_exit_code_and_partial_outputs(tmp_path):
     assert (out / reports.ITERATIONS_CSV).exists()
 
 
+def test_cli_short_run_can_converge(tmp_path):
+    # M = 5 steps and Mandel's min_iterations = 5: the default cap leaves
+    # one iteration after the suppressed ones
+    out = tmp_path / "short"
+    code = main(["moredwr", "--problem", "mandel", "--cells", "4x2",
+                 "--steps", "5", "--tol", "0.5", "--out", str(out)])
+    assert code == 0
+    with open(out / reports.ITERATIONS_CSV, newline="") as fh:
+        assert len(list(csv.DictReader(fh))) == 6
+
+
+def test_cli_cap_not_above_min_iterations_rejected(tmp_path, capsys):
+    cfg = tmp_path / "cap.cfg"
+    cfg.write_text("moredwr.max_iterations = 5\n")
+    code = main(["moredwr", "--problem", "mandel", "--cells", "4x2",
+                 "--steps", "5", "--config", str(cfg),
+                 "--out", str(tmp_path / "cap")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "max_iterations" in err and "min_iterations" in err
+
+
 def test_cli_solver_failure_exit_code(tmp_path, monkeypatch):
     monkeypatch.setattr(linsolve, "GMRES_MAX_ITERATIONS", 1)
     monkeypatch.setattr(linsolve, "GMRES_RESTART", 1)

@@ -328,15 +328,49 @@ def test_semidefinite_before_constraints():
 
 
 def test_quadrature_exact_for_monomials():
-    from poromor.assembly import _volume_rule
+    from poromor.assembly import _facet_rule, _volume_rule
+
+    # the 2D cell rule, then every local face of the 2D and 3D cells:
+    # (points, weights, free axes)
+    rules = [(*_volume_rule(2), [0, 1])]
+    for dim in (2, 3):
+        for local_face in range(2 * dim):
+            points, weights = _facet_rule(dim, local_face)
+            axis, side = divmod(local_face, 2)
+            # the points lie on the face plane
+            assert np.all(points[:, axis] == (-1.0 if side == 0 else 1.0))
+            rules.append((points, weights, [ax for ax in range(dim) if ax != axis]))
 
     # 3-point Gauss per axis integrates monomials up to degree 5 exactly
-    points, weights = _volume_rule(2)
-    for a in range(6):
-        for b in range(6):
-            val = np.sum(weights * points[:, 0]**a * points[:, 1]**b)
-            exact = ((1 - (-1)**(a + 1)) / (a + 1)) * ((1 - (-1)**(b + 1)) / (b + 1))
+    for points, weights, free in rules:
+        for powers in itertools.product(range(6), repeat=len(free)):
+            val = np.sum(weights * np.prod(points[:, free] ** np.array(powers), axis=1))
+            exact = np.prod([(1 - (-1)**(a + 1)) / (a + 1) for a in powers])
             assert val == pytest.approx(exact, abs=1e-14)
+
+
+@pytest.mark.parametrize("origin, extent, cells", [
+    ((0.3, -0.2), (0.7, 1.3), (3, 2)),
+    ((0.3, -0.2, 0.1), (0.7, 1.3, 0.4), (2, 3, 2)),
+])
+def test_local_numbering_matches_dof_maps(origin, extent, cells):
+    # on every cell of a multi-cell mesh, the shape tables evaluated at the
+    # cell's nodes, in the order the dof maps list them, are the identity;
+    # single-cell oracles cannot see this, there local and global ids agree
+    from poromor.assembly import _tables
+
+    space = build_taylor_hood_space(build_structured_mesh(origin, extent, cells))
+    h = space.mesh.cell_size
+    for degree, node_map, coords in ((2, space.u_node_map, space.u_node_coords),
+                                     (1, space.p_node_map, space.p_node_coords)):
+        for nodes in node_map:
+            xyz = coords[nodes]
+            ref = 2.0 * (xyz - xyz.min(axis=0)) / h - 1.0
+            V, G = _tables(ref, h, degree)
+            np.testing.assert_allclose(V, np.eye(len(nodes)), rtol=0, atol=1e-14)
+            # the basis sums to one, so its gradients sum to zero
+            np.testing.assert_allclose(G.sum(axis=1), 0.0, rtol=0,
+                                       atol=1e-14 * np.abs(G).max())
 
 
 def test_assembly_independent_of_cell_order():

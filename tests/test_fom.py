@@ -233,26 +233,6 @@ def test_store_states_false_keeps_goal_series(mandel_small):
     assert lean.U is None
 
 
-def test_unconstrained_ops_rejected(mandel_small):
-    spec, _, grid = mandel_small
-    from poromor.assembly import assemble_operators
-    from poromor.discretization import (ProblemKind, build_structured_mesh,
-                                        build_taylor_hood_space,
-                                        tag_boundaries)
-
-    mesh = tag_boundaries(
-        build_structured_mesh(spec.origin, spec.extent, spec.cells_per_axis),
-        ProblemKind.MANDEL)
-    space = build_taylor_hood_space(mesh)
-    raw = assemble_operators(space, spec.material, ProblemKind.MANDEL,
-                             spec.traction_tag,
-                             np.asarray(spec.traction_direction),
-                             spec.goal_tag, spec.neumann_tags,
-                             constrain=False)
-    with pytest.raises(ValueError):
-        StepSystem(raw, grid.k)
-
-
 def test_footing_gmres_step(footing_tiny):
     spec, ops, grid = footing_tiny
     traj = run_primal_fom(ops, grid, solver=spec.solver)
