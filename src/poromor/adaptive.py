@@ -40,31 +40,27 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
+# retained-energy thresholds of the (primal u, primal p, dual u, dual p) bases
+ENERGY_THRESHOLDS = (1.0 - 1e-7, 1.0 - 1e-11, 1.0 - 1e-9, 1.0 - 1e-9)
+# trailing full-order dual steps fed to the dual bases in each of the first
+# extra_dual_iterations iterations
+EXTRA_DUAL_STEPS = 5
+
 
 @dataclass(frozen=True)
 class MoreDwrConfig:
-    """Tolerances and enrichment knobs of the adaptive loop."""
+    """Tolerance and iteration counts of the adaptive loop."""
 
     tol_rel: float = 0.01
-    energy_primal_u: float = 1.0 - 1e-7
-    energy_primal_p: float = 1.0 - 1e-11
-    energy_dual_u: float = 1.0 - 1e-9
-    energy_dual_p: float = 1.0 - 1e-9
     extra_dual_iterations: int = 5
-    extra_dual_steps: int = 5
     max_iterations: int | None = None
     min_iterations: int = 0
 
     def validate(self) -> None:
         if self.tol_rel <= 0:
             raise ValueError("tol_rel must be positive")
-        for name in ("energy_primal_u", "energy_primal_p",
-                     "energy_dual_u", "energy_dual_p"):
-            value = getattr(self, name)
-            if not 0.0 < value <= 1.0:
-                raise ValueError(f"{name} must lie in (0, 1]")
-        if self.extra_dual_iterations < 0 or self.extra_dual_steps < 0:
-            raise ValueError("extra dual enrichment counts must be >= 0")
+        if self.extra_dual_iterations < 0:
+            raise ValueError("extra_dual_iterations must be >= 0")
         if self.min_iterations < 0:
             raise ValueError("min_iterations must be >= 0")
         # the loop may stop only after min_iterations, so a cap at or below
@@ -125,18 +121,16 @@ class MoreDwrResult:
     bases: tuple[PodBasis, PodBasis, PodBasis, PodBasis]
 
 
-def initialize_bases(ops: BlockOperators, config: MoreDwrConfig,
-                     system: StepSystem):
+def initialize_bases(ops: BlockOperators, system: StepSystem):
     """Seed the four bases from one primal and one dual full-order step.
 
     The primal step starts from the zero initial condition on the first
     temporal element; the dual step starts from the zero terminal condition
     on the last one.  Returns the bases and the solve count (2).
     """
-    pu = PodBasis.empty(ops.n_u, config.energy_primal_u)
-    pp = PodBasis.empty(ops.n_p, config.energy_primal_p)
-    du = PodBasis.empty(ops.n_u, config.energy_dual_u)
-    dp = PodBasis.empty(ops.n_p, config.energy_dual_p)
+    sizes = (ops.n_u, ops.n_p, ops.n_u, ops.n_p)
+    pu, pp, du, dp = (PodBasis.empty(n, energy)
+                      for n, energy in zip(sizes, ENERGY_THRESHOLDS))
 
     u1, p1 = system.solve_primal(np.zeros(ops.n_u), np.zeros(ops.n_p))
     pu = ipod_update(pu, u1)
@@ -203,15 +197,13 @@ def run_moredwr(ops: BlockOperators, grid: TimeGrid, config: MoreDwrConfig,
     the record, not raised.
     """
     config.validate()
-    if grid.num_elements == 0:
-        raise ValueError("adaptive run needs at least one temporal element")
     start = time.perf_counter()
     record = RunRecord(tol_rel=config.tol_rel, J_fom=reference_goal)
     max_iterations = config.max_iterations or max(grid.num_elements,
                                                   config.min_iterations + 1)
 
     system = StepSystem(ops, grid.k, solver)
-    bases, record.init_solves = initialize_bases(ops, config, system)
+    bases, record.init_solves = initialize_bases(ops, system)
     pu, pp, du, dp = bases
 
     if pu.rank == 0 and pp.rank == 0:
@@ -258,9 +250,8 @@ def run_moredwr(ops: BlockOperators, grid: TimeGrid, config: MoreDwrConfig,
             break
 
         extra_start = None
-        if (iteration <= config.extra_dual_iterations
-                and config.extra_dual_steps > 0):
-            steps = min(config.extra_dual_steps, grid.num_elements)
+        if iteration <= config.extra_dual_iterations:
+            steps = min(EXTRA_DUAL_STEPS, grid.num_elements)
             extra_start = (lift(dual.U[steps], du), lift(dual.P[steps], dp))
 
         pu, pp, du, dp = enrich_at((pu, pp, du, dp), report.m_max, primal,

@@ -38,16 +38,14 @@ class TimeGrid:
     num_elements: int
 
     def __post_init__(self):
-        if self.num_elements < 0:
-            raise ValueError("num_elements must be >= 0")
-        if self.num_elements > 0 and self.t_end <= 0:
+        if self.num_elements < 1:
+            raise ValueError("num_elements must be >= 1")
+        if self.t_end <= 0:
             raise ValueError("t_end must be positive")
 
     @property
     def k(self) -> float:
         """Constant timestep size."""
-        if self.num_elements == 0:
-            return 0.0
         return self.t_end / self.num_elements
 
     def times(self) -> np.ndarray:
@@ -185,7 +183,7 @@ def run_primal_fom(ops: BlockOperators, grid: TimeGrid,
     """Sweep the primal problem forward from the zero initial condition."""
     start = time.perf_counter()
     M = grid.num_elements
-    system = StepSystem(ops, grid.k, solver) if M > 0 else None
+    system = StepSystem(ops, grid.k, solver)
     goal_series = np.zeros(M + 1)
     U = P = None
     if store_states:
@@ -209,7 +207,7 @@ def run_dual_fom(ops: BlockOperators, grid: TimeGrid,
     """Sweep the adjoint problem backward from the zero terminal condition."""
     start = time.perf_counter()
     M = grid.num_elements
-    system = StepSystem(ops, grid.k, solver) if M > 0 else None
+    system = StepSystem(ops, grid.k, solver)
     Zu = np.zeros((M + 1, ops.n_u))
     Zp = np.zeros((M + 1, ops.n_p))
     zu, zp = Zu[M], Zp[M]
@@ -222,9 +220,7 @@ def run_dual_fom(ops: BlockOperators, grid: TimeGrid,
     return traj
 
 
-def _stats(system: StepSystem | None) -> dict:
-    if system is None:
-        return {}
+def _stats(system: StepSystem) -> dict:
     stats = {"solves": system.solve_count}
     if system.iteration_counts:
         stats["gmres_iterations"] = list(system.iteration_counts)

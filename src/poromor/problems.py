@@ -68,8 +68,8 @@ class ProblemSpec:
         return f"{self.kind.value}:{cells}:{self.num_steps}:{self.t_end:.17g}"
 
     def validate(self) -> None:
-        if self.num_steps < 0:
-            raise ConfigError(f"number of steps must be >= 0, got {self.num_steps}")
+        if self.num_steps < 1:
+            raise ConfigError(f"number of steps must be >= 1, got {self.num_steps}")
         if self.t_end <= 0:
             raise ConfigError(f"t_end must be positive, got {self.t_end}")
         if len(self.cells_per_axis) != len(self.origin):
@@ -170,12 +170,7 @@ CONFIG_KEYS: dict[str, Callable[[str], object]] = {
     "t_end": float,
     "tol": float,
     "solver.method": _parse_choice(SolverMethod),
-    "moredwr.energy_primal_u": float,
-    "moredwr.energy_primal_p": float,
-    "moredwr.energy_dual_u": float,
-    "moredwr.energy_dual_p": float,
     "moredwr.extra_dual_iterations": int,
-    "moredwr.extra_dual_steps": int,
     "moredwr.max_iterations": int,
     "moredwr.min_iterations": int,
     "material.compressibility_modulus": float,

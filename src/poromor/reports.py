@@ -1,7 +1,8 @@
 """CSV/report emission for runs and cross-tolerance comparisons.
 
-All floats are written with 17 significant digits and the C locale so that
-repeated runs with the direct solver produce byte-identical files.
+All floats are written with 17 significant digits and the C locale, so
+repeated runs with the direct solver write byte-identical files apart from
+the measured columns (``wall_time_s`` and ``speedup``).
 """
 
 from __future__ import annotations
@@ -43,10 +44,20 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def write_goal_csv(directory, times, goal_rom=None, goal_fom=None) -> Path:
-    """Per-element goal integrand columns; at least one series required."""
+def _write_csv(directory, name, header, rows) -> Path:
+    """Write one header row and the given rows to ``directory/name``."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
+    path = directory / name
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        writer.writerows(rows)
+    return path
+
+
+def write_goal_csv(directory, times, goal_rom=None, goal_fom=None) -> Path:
+    """Per-element goal integrand columns; at least one series required."""
     columns: list[tuple[str, np.ndarray]] = [("t", np.asarray(times))]
     if goal_rom is not None:
         columns.append(("goal_rom", np.asarray(goal_rom)))
@@ -54,43 +65,24 @@ def write_goal_csv(directory, times, goal_rom=None, goal_fom=None) -> Path:
         columns.append(("goal_fom", np.asarray(goal_fom)))
     if len(columns) == 1:
         raise ValueError("need at least one goal series")
-    n = len(columns[0][1])
-    path = directory / GOAL_CSV
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow([name for name, _ in columns])
-        for i in range(n):
-            writer.writerow([_fmt(float(series[i])) for _, series in columns])
-    return path
+    rows = ([_fmt(float(series[i])) for _, series in columns]
+            for i in range(len(columns[0][1])))
+    return _write_csv(directory, GOAL_CSV, [name for name, _ in columns], rows)
 
 
 def write_iterations_csv(directory, record: RunRecord) -> Path:
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    path = directory / ITERATIONS_CSV
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["iteration", "eta_rel", "e_rel", "n_primal_u",
-                         "n_primal_p", "n_dual_u", "n_dual_p", "fom_solves",
-                         "wall_time_s", "J_rom", "m_max"])
-        for log in record.iterations:
-            writer.writerow([
-                log.iteration, _fmt(log.eta_rel), _fmt(log.e_rel),
-                *log.basis_sizes, log.fom_solves, _fmt(log.wall_time),
-                _fmt(log.J_rom), _fmt(log.m_max),
-            ])
-    return path
+    header = ["iteration", "eta_rel", "e_rel", "n_primal_u", "n_primal_p",
+              "n_dual_u", "n_dual_p", "fom_solves", "wall_time_s", "J_rom",
+              "m_max"]
+    rows = ([log.iteration, _fmt(log.eta_rel), _fmt(log.e_rel),
+             *log.basis_sizes, log.fom_solves, _fmt(log.wall_time),
+             _fmt(log.J_rom), _fmt(log.m_max)] for log in record.iterations)
+    return _write_csv(directory, ITERATIONS_CSV, header, rows)
 
 
 def write_summary(directory, summary: dict) -> Path:
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    path = directory / SUMMARY_CSV
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(list(summary.keys()))
-        writer.writerow([_fmt(v) for v in summary.values()])
-    return path
+    return _write_csv(directory, SUMMARY_CSV, list(summary),
+                      [[_fmt(v) for v in summary.values()]])
 
 
 def read_summary(directory) -> dict:
@@ -194,13 +186,5 @@ def _short(value) -> str:
 
 
 def write_comparison(directory, rows: list[dict]) -> Path:
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    path = directory / "comparison.csv"
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(COMPARE_COLUMNS)
-        for row in rows:
-            writer.writerow([_fmt(row[c]) if not isinstance(row[c], str)
-                             else row[c] for c in COMPARE_COLUMNS])
-    return path
+    return _write_csv(directory, "comparison.csv", COMPARE_COLUMNS,
+                      ([_fmt(row[c]) for c in COMPARE_COLUMNS] for row in rows))

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from poromor import adaptive
 from poromor.adaptive import (MoreDwrConfig, enrich_at, initialize_bases,
                               run_moredwr)
 from poromor.fom import StepSystem, evaluate_goal, run_primal_fom
@@ -10,14 +11,12 @@ from poromor.linsolve import SolverMethod
 from poromor.problems import build_problem, mandel_spec
 from poromor.rom import project_operators, solve_dual_rom, solve_primal_rom
 
-FAST = MoreDwrConfig(tol_rel=0.01, extra_dual_iterations=5,
-                     extra_dual_steps=5, min_iterations=0)
+FAST = MoreDwrConfig(tol_rel=0.01, extra_dual_iterations=5, min_iterations=0)
 
 
 def test_initialize_bases_counts(mandel_small):
     _, ops, grid = mandel_small
-    (pu, pp, du, dp), solves = initialize_bases(ops, FAST,
-                                                StepSystem(ops, grid.k))
+    (pu, pp, du, dp), solves = initialize_bases(ops, StepSystem(ops, grid.k))
     assert solves == 2
     assert (pu.rank, pp.rank, du.rank, dp.rank) == (1, 1, 1, 1)
 
@@ -47,7 +46,7 @@ def test_loose_tolerance_stops_after_first_estimate(mandel_small):
 def test_enrich_in_span_keeps_sizes(mandel_small):
     _, ops, grid = mandel_small
     system = StepSystem(ops, grid.k)
-    bases, _ = initialize_bases(ops, FAST, system)
+    bases, _ = initialize_bases(ops, system)
     red = project_operators(ops, bases[:2], bases[2:])
     primal = solve_primal_rom(red, grid)
     dual = solve_dual_rom(red, grid)
@@ -71,10 +70,10 @@ def test_small_mandel_converges_with_true_error(mandel_small):
     assert rec.I_eff is not None
 
 
-def test_solve_accounting_identity(mandel_small):
+def test_solve_accounting_identity(mandel_small, monkeypatch):
     _, ops, grid = mandel_small
-    config = dataclasses.replace(FAST, tol_rel=1e-4, extra_dual_iterations=2,
-                                 extra_dual_steps=3)
+    monkeypatch.setattr(adaptive, "EXTRA_DUAL_STEPS", 3)
+    config = dataclasses.replace(FAST, tol_rel=1e-4, extra_dual_iterations=2)
     result = run_moredwr(ops, grid, config)
     rec = result.record
     expected = rec.init_solves + 2 * rec.enrichment_iterations + rec.extra_dual_solves
@@ -142,9 +141,7 @@ def test_config_validation():
     with pytest.raises(ValueError):
         MoreDwrConfig(tol_rel=0.0).validate()
     with pytest.raises(ValueError):
-        MoreDwrConfig(energy_primal_u=1.5).validate()
-    with pytest.raises(ValueError):
-        MoreDwrConfig(extra_dual_steps=-1).validate()
+        MoreDwrConfig(extra_dual_iterations=-1).validate()
     MoreDwrConfig().validate()
 
 

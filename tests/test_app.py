@@ -55,19 +55,29 @@ def test_override_semantics():
     assert spec.moredwr.tol_rel == pytest.approx(0.05)
 
 
-def test_negative_steps_rejected():
-    with pytest.raises(ConfigError):
-        parse_config(None, {"problem": "mandel", "steps": -5})
+def test_negative_steps_rejected(tmp_path):
+    # every run has at least one temporal element
+    for steps in (-5, 0):
+        with pytest.raises(ConfigError):
+            parse_config(None, {"problem": "mandel", "steps": steps})
+    assert main(["fom", "--cells", "4x2", "--steps", "0",
+                 "--out", str(tmp_path / "out")]) == 2
 
 
 def test_unknown_key_rejected_with_line(tmp_path):
     cfg = tmp_path / "run.cfg"
     # all keys but the first are retired: GMRES is always
     # Jacobi-preconditioned, its tolerance, restart length and iteration cap
-    # are linsolve constants, and no equation reads a density
+    # are linsolve constants, no equation reads a density, and the POD
+    # energy thresholds and the extra dual step count are adaptive constants
     for line in ("bogus_key = 3", "solver.preconditioner = jacobi",
                  "solver.gmres_tolerance = 5e-8", "solver.gmres_restart = 100",
-                 "solver.max_iterations = 5000", "material.density = 1.0"):
+                 "solver.max_iterations = 5000", "material.density = 1.0",
+                 "moredwr.energy_primal_u = 0.9999999",
+                 "moredwr.energy_primal_p = 0.99999999999",
+                 "moredwr.energy_dual_u = 0.999999999",
+                 "moredwr.energy_dual_p = 0.999999999",
+                 "moredwr.extra_dual_steps = 5"):
         cfg.write_text(f"problem = mandel\n{line}\n")
         with pytest.raises(ConfigError) as err:
             parse_config(cfg)
@@ -114,12 +124,12 @@ def test_config_file_parsing(tmp_path):
         "steps = 10\n"
         "solver.method = gmres\n"
         "material.lame_mu = 2e8\n"
-        "moredwr.extra_dual_steps = 3\n")
+        "moredwr.extra_dual_iterations = 3\n")
     spec = parse_config(cfg)
     assert spec.cells_per_axis == (8, 4)
     assert spec.solver.method is SolverMethod.GMRES
     assert spec.material.lame_mu == pytest.approx(2.0e8)
-    assert spec.moredwr.extra_dual_steps == 3
+    assert spec.moredwr.extra_dual_iterations == 3
 
 
 def test_malformed_line_rejected(tmp_path):
@@ -173,11 +183,33 @@ def test_cli_goal_csv_one_row_per_element(tmp_path):
 
 
 def test_cli_fom_deterministic_output(tmp_path):
-    a, b = tmp_path / "a", tmp_path / "b"
-    for out in (a, b):
-        assert main(["fom", "--problem", "mandel", "--cells", "4x2",
-                     "--steps", "5", "--out", str(out)]) == 0
-    assert (a / reports.GOAL_CSV).read_bytes() == (b / reports.GOAL_CSV).read_bytes()
+    # direct-solver reruns of fom and moredwr --reference write the same
+    # bundles byte for byte, apart from the measured columns
+    timing = {"wall_time_s", "speedup"}
+
+    def untimed(path):
+        with open(path, newline="", encoding="utf-8") as handle:
+            rows = list(csv.reader(handle))
+        keep = [i for i, name in enumerate(rows[0]) if name not in timing]
+        return [[row[i] for i in keep] for row in rows]
+
+    runs = []
+    for run in ("a", "b"):
+        fom, rom = tmp_path / run / "fom", tmp_path / run / "tol1"
+        assert main(["fom", "--cells", "4x2", "--steps", "20",
+                     "--out", str(fom)]) == 0
+        assert main(["moredwr", "--cells", "4x2", "--steps", "20",
+                     "--tol", "0.01", "--reference", str(fom),
+                     "--out", str(rom)]) == 0
+        runs.append((fom, rom))
+    for first, second in zip(*runs):
+        assert ((first / reports.GOAL_CSV).read_bytes()
+                == (second / reports.GOAL_CSV).read_bytes())
+        assert (untimed(first / reports.SUMMARY_CSV)
+                == untimed(second / reports.SUMMARY_CSV))
+    first, second = runs[0][1], runs[1][1]
+    assert (untimed(first / reports.ITERATIONS_CSV)
+            == untimed(second / reports.ITERATIONS_CSV))
 
 
 def test_cli_config_error_exit_code(tmp_path):

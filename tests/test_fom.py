@@ -48,11 +48,10 @@ def test_single_cell_step_matches_dense_oracle():
                                rtol=1e-9, atol=1e-12 * np.abs(x).max())
 
 
-def test_zero_elements_trajectory():
-    ops, grid = build_problem(mandel_spec(cells=(2, 1), steps=1))
-    traj = run_primal_fom(ops, TimeGrid(t_end=1.0, num_elements=0))
-    assert len(traj) == 1
-    assert np.abs(traj.U).max() == 0.0
+def test_zero_elements_rejected():
+    # every time grid has at least one temporal element
+    with pytest.raises(ValueError):
+        TimeGrid(t_end=1.0, num_elements=0)
 
 
 def test_direct_runs_bitwise_reproducible(mandel_small):
