@@ -1,12 +1,12 @@
 """Linear solvers for the monolithic step systems.
 
 Two paths: sparse LU factorization (reused across all time steps, with
-transpose solves for the dual problem) and restarted GMRES with a left
-Jacobi preconditioner for the large 3D systems.  The GMRES iteration is
-local (``_gmres``): it computes bitwise what scipy's ``gmres`` computes,
-without that function's per-iteration Python overhead.  Every GMRES solve
-runs with the module constants GMRES_TOLERANCE (5e-8), GMRES_RESTART (100)
-and GMRES_MAX_ITERATIONS (5000).
+transpose solves for the dual problem) and restarted GMRES on the
+symmetrically Jacobi-scaled system D S D for the large 3D systems.  The
+GMRES iteration is local (``_gmres``): it computes bitwise what scipy's
+``gmres`` computes, without that function's per-iteration Python overhead.
+Every GMRES solve runs with the module constants GMRES_TOLERANCE (1e-8),
+GMRES_RESTART (100) and GMRES_MAX_ITERATIONS (5000).
 
 ``_one_blas_thread`` runs the sweeps' dense kernels on one OpenBLAS thread.
 """
@@ -117,10 +117,10 @@ class ConvergenceError(RuntimeError):
         self.iterations = iterations
 
 
-# every GMRES solve's tolerance (relative, on the Jacobi-preconditioned
-# residual), restart length and cap on Arnoldi steps; gmres_solve reads
-# them at call time
-GMRES_TOLERANCE = 5.0e-8
+# every GMRES solve's tolerance (relative, on the Jacobi-scaled residual
+# D r), restart length and cap on Arnoldi steps; gmres_solve reads them at
+# call time
+GMRES_TOLERANCE = 1.0e-8
 GMRES_RESTART = 100
 GMRES_MAX_ITERATIONS = 5000
 
@@ -154,14 +154,19 @@ class Factorization:
 
 def gmres_solve(matrix: sp.spmatrix, rhs: np.ndarray,
                 x0: np.ndarray | None = None) -> tuple[np.ndarray, int]:
-    """Restarted GMRES solve, left-preconditioned with Jacobi.
+    """Restarted GMRES on the symmetrically Jacobi-scaled system.
 
-    Convergence is measured on the preconditioned residual relative to the
-    preconditioned right-hand side; the plain relative residual is verified
-    to stay within 10x the tolerance.  GMRES runs on the preconditioned
-    operator, so the residual it minimizes and stops on is the one this
-    criterion measures, which keeps warm starts cheap.  The tolerance,
-    restart length and iteration cap are the module's GMRES_* constants.
+    With D = |diag S|^(-1/2), GMRES iterates on (D S D) y = D b and returns
+    x = D y; D is applied on the fly, so no scaled copy of S is formed.
+    This is the equilibration the direct path factors, and the optimal
+    diagonal scaling of van der Sluis (1969): mechanics rows of stiffness
+    ~1e8 and flow rows of storage mass ~1e-8 weigh alike, where left
+    Jacobi (D² S) weighs the flow rows far above the mechanics rows.
+
+    Convergence is measured on the scaled residual |D r| / |D b|, the one
+    GMRES minimizes, so warm starts stay cheap; the plain relative residual
+    is verified to stay within 10x the tolerance.  The tolerance, restart
+    length and cap on Arnoldi steps are the module's GMRES_* constants.
     """
     if matrix.shape[0] != matrix.shape[1]:
         raise ValueError("matrix must be square")
@@ -172,42 +177,44 @@ def gmres_solve(matrix: sp.spmatrix, rhs: np.ndarray,
 
     diag = matrix.diagonal()
     if np.any(diag == 0.0):
-        raise ValueError("Jacobi preconditioner requires a nonzero diagonal")
-    prec = lambda v: v / diag  # noqa: E731
-    last = [None, None]  # the vector op last multiplied and its product
+        raise ValueError("Jacobi scaling requires a nonzero diagonal")
+    d = 1.0 / np.sqrt(np.abs(diag))
+    last = [None, None]  # the vector op last multiplied and S D times it
 
-    def op(v):
-        last[:] = v, matrix @ v
-        return prec(last[1])
+    def op(y):
+        last[:] = y, matrix @ (d * y)
+        return d * last[1]
 
-    b_prec = prec(rhs)
-    norm_mb = np.linalg.norm(b_prec)
+    b_scaled = d * rhs
+    norm_db = np.linalg.norm(b_scaled)
 
     tol = GMRES_TOLERANCE
     iterations = 0
-    x = x0
-    r_prec = None  # b_prec - op(x), once known
+    y = None if x0 is None else x0 / d
+    r_scaled = None  # b_scaled - op(y), once known
     rtol = tol
-    rel_plain = rel_prec = math.inf
+    rel_plain = rel_scaled = math.inf
     for _ in range(6):
         remaining = GMRES_MAX_ITERATIONS - iterations
         if remaining <= 0:
             break
-        cycles = max(1, math.ceil(remaining / GMRES_RESTART))
-        x, inner = _gmres(op, b_prec, x, rtol, GMRES_RESTART, cycles, r_prec)
+        # whole cycles within the cap, or one shorter cycle for its tail
+        restart = min(GMRES_RESTART, remaining)
+        y, inner = _gmres(op, b_scaled, y, rtol, restart, remaining // restart,
+                          r_scaled)
         iterations += inner
-        # unless it returns at once, _gmres ends on b - op(x) for the x it
-        # returns, so op's last product is that of x
-        product = last[1] if last[0] is x else matrix @ x
+        # unless it returns at once, _gmres ends on b - op(y) for the y it
+        # returns, so op's last product is S x for x = D y
+        product = last[1] if last[0] is y else matrix @ (d * y)
         r = rhs - product
         rel_plain = np.linalg.norm(r) / norm_b
-        rel_prec = np.linalg.norm(prec(r)) / norm_mb
-        if rel_prec <= tol and rel_plain <= 10.0 * tol:
-            return x, iterations
-        rtol = max(rtol * 0.5 * tol / max(rel_prec, rel_plain / 10.0), 1e-16)
-        r_prec = b_prec - prec(product)
+        r_scaled = d * r
+        rel_scaled = np.linalg.norm(r_scaled) / norm_db
+        if rel_scaled <= tol and rel_plain <= 10.0 * tol:
+            return d * y, iterations
+        rtol = max(rtol * 0.5 * tol / max(rel_scaled, rel_plain / 10.0), 1e-16)
 
-    residual = max(rel_plain, rel_prec)
+    residual = max(rel_plain, rel_scaled)
     raise ConvergenceError(
         f"GMRES stalled at relative residual {residual:.3e} "
         f"after {iterations} iterations (tolerance {tol:.1e})",

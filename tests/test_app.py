@@ -41,7 +41,7 @@ def test_footing_defaults():
     spec = parse_config(None, {"problem": "footing"})
     assert spec.cells_per_axis == (16, 16, 16)
     assert spec.solver.method is SolverMethod.GMRES
-    assert linsolve.GMRES_TOLERANCE == pytest.approx(5.0e-8)
+    assert linsolve.GMRES_TOLERANCE == pytest.approx(1.0e-8)
     assert spec.moredwr.extra_dual_iterations == 8
     assert spec.goal_tag is BoundaryTag.COMPRESSION
     assert spec.traction_direction == (0.0, 0.0, 1.0)
@@ -66,8 +66,8 @@ def test_negative_steps_rejected(tmp_path):
 
 def test_unknown_key_rejected_with_line(tmp_path):
     cfg = tmp_path / "run.cfg"
-    # all keys but the first are retired: GMRES is always
-    # Jacobi-preconditioned, its tolerance, restart length and iteration cap
+    # all keys but the first are retired: GMRES always runs on the
+    # Jacobi-scaled system, its tolerance, restart length and iteration cap
     # are linsolve constants, no equation reads a density, and the POD
     # energy thresholds and the extra dual step count are adaptive constants
     for line in ("bogus_key = 3", "solver.preconditioner = jacobi",

@@ -80,18 +80,20 @@ def test_gmres_matches_direct_on_step_system(mandel_small):
 
 
 def test_gmres_residual_invariant(mandel_small):
-    # converged solves keep the plain relative residual under 10x tolerance
+    # converged solves meet the tolerance on the Jacobi-scaled residual
+    # D r, D = |diag S|^(-1/2), and keep the plain relative residual under
+    # 10x tolerance
     _, ops, grid = mandel_small
     system = StepSystem(ops, grid.k)
     rng = np.random.default_rng(11)
+    d = 1.0 / np.sqrt(np.abs(system.matrix.diagonal()))
     for _ in range(3):
         rhs = system.matrix @ rng.standard_normal(ops.n_u + ops.n_p)
         x, _ = gmres_solve(system.matrix, rhs)
-        rel = np.linalg.norm(rhs - system.matrix @ x) / np.linalg.norm(rhs)
-        assert rel < 10 * GMRES_TOLERANCE
-        diag = system.matrix.diagonal()
-        prec = np.linalg.norm((rhs - system.matrix @ x) / diag)
-        assert prec / np.linalg.norm(rhs / diag) <= GMRES_TOLERANCE
+        r = rhs - system.matrix @ x
+        assert np.linalg.norm(r) / np.linalg.norm(rhs) < 10 * GMRES_TOLERANCE
+        scaled = np.linalg.norm(d * r) / np.linalg.norm(d * rhs)
+        assert scaled <= GMRES_TOLERANCE
 
 
 def test_gmres_matches_direct_footing_3d():
@@ -182,6 +184,22 @@ def test_gmres_nonconvergence_error(monkeypatch):
     assert err.value.iterations > 0
 
 
+@pytest.mark.parametrize("cap, restart", [(1, 100), (7, 5)])
+def test_gmres_cap_counts_arnoldi_steps(mandel_small, monkeypatch, cap,
+                                        restart):
+    # the cap bounds Arnoldi steps, not restart cycles: Mandel 4x2's first
+    # primal step needs dozens, so the solve stops after exactly the cap,
+    # a cap that is no multiple of the restart length included
+    _, ops, grid = mandel_small
+    system = StepSystem(ops, grid.k)
+    monkeypatch.setattr(linsolve, "GMRES_MAX_ITERATIONS", cap)
+    monkeypatch.setattr(linsolve, "GMRES_RESTART", restart)
+    zeros = np.zeros(ops.n_u), np.zeros(ops.n_p)
+    with pytest.raises(ConvergenceError) as err:
+        gmres_solve(system.matrix, system.primal_rhs(*zeros))
+    assert err.value.iterations == cap
+
+
 def test_jacobi_rejects_zero_diagonal():
     A = sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
     with pytest.raises(ValueError):
@@ -257,7 +275,8 @@ def test_sweeps_restore_the_callers_blas_threads(mandel_small, monkeypatch):
     with blas_threads(2):
         run_primal_fom(ops, grid)
         assert set(counts()) == {2}
-        with pytest.raises(ConvergenceError):
+        with pytest.raises(ConvergenceError) as err:
             run_primal_fom(
                 ops, grid, solver=LinearSolverConfig(method=SolverMethod.GMRES))
+        assert err.value.iterations == 1
         assert set(counts()) == {2}
