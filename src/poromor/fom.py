@@ -9,6 +9,7 @@ thanks to the symmetric constraint elimination in :mod:`poromor.assembly`.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass, field
@@ -17,8 +18,9 @@ import numpy as np
 import scipy.sparse as sp
 
 from .assembly import BlockOperators
-from .linsolve import (Factorization, FactorizationError, LinearSolverConfig,
-                       SolverMethod, _one_blas_thread, gmres_solve)
+from .linsolve import (Factorization, LinearSolverConfig, SolverMethod,
+                       _one_blas_thread, gmres_solve, incomplete_factorization,
+                       jacobi_scaled)
 
 __all__ = [
     "TimeGrid",
@@ -82,8 +84,11 @@ class StepSystem:
     Primal step:  S [u_m; p_m] = [f; M p_{m-1} + D u_{m-1}]
     Dual step:    S^T [z_u; z_p] = [D^T z_p_next; M z_p_next + k g]
 
-    Every solve starts from the state it steps from: GMRES iterates from
-    it, and a direct solve adds one LU-solved increment to it.
+    Both methods factor the Jacobi-scaled matrix D S D once: exactly for
+    the direct method, incompletely to precondition GMRES.  Dual solves use
+    the same factor transposed.  Every solve starts from the state it steps
+    from: GMRES iterates from it, and a direct solve adds one LU-solved
+    increment to it.
     """
 
     def __init__(self, ops: BlockOperators, k: float,
@@ -105,20 +110,13 @@ class StepSystem:
                 f"dual step matrix deviates from the primal transpose by {defect:.3e}")
         self.dual_matrix = dual
 
+        self._scale, scaled = jacobi_scaled(self.matrix)
         self._lu: Factorization | None = None
-        self._scale: np.ndarray | None = None
+        self._ilu = None  # SuperLU's incomplete factor, for GMRES
         if self.solver.method is SolverMethod.DIRECT:
-            # symmetric Jacobi equilibration: the raw system mixes stiffness
-            # entries ~1e8 with storage-mass entries ~1e-8, which ruins the
-            # forward accuracy of a plain LU on the flow rows.  D S D keeps
-            # the transpose structure intact, so dual solves stay exact
-            # adjoints of primal solves.
-            diag = self.matrix.diagonal()
-            if np.any(diag == 0.0):
-                raise FactorizationError("zero diagonal in the step matrix")
-            self._scale = 1.0 / np.sqrt(np.abs(diag))
-            D = sp.diags(self._scale)
-            self._lu = Factorization(D @ self.matrix @ D)
+            self._lu = Factorization(scaled)
+        else:
+            self._ilu = incomplete_factorization(scaled)
         self.solve_count = 0
         self.iteration_counts: list[int] = []
 
@@ -159,7 +157,10 @@ class StepSystem:
                 matrix, rhs = self.dual_matrix, self.dual_rhs(p)
             else:
                 matrix, rhs = self.matrix, self.primal_rhs(u, p)
-            x, iters = gmres_solve(matrix, rhs, x0=x)
+            precondition = functools.partial(self._ilu.solve,
+                                             trans="T" if transpose else "N")
+            x, iters = gmres_solve(matrix, rhs, x0=x, scale=self._scale,
+                                   precondition=precondition)
             self.iteration_counts.append(iters)
         else:
             d = self._scale

@@ -2,8 +2,8 @@
 
 Run with ``pytest -v -s tests/test_acceptance.py``.  The heavy reference
 solves are shared through module-scoped fixtures.  The full module takes
-about four minutes on a 2-core Xeon, of which the GMRES footing 8^3/500
-runs that criteria 9 and 10 share take about 165 s.
+about three minutes on a 2-core Xeon, of which the GMRES footing 8^3/500
+runs that criteria 9 and 10 share take about 110 s.
 """
 
 import dataclasses
@@ -239,7 +239,7 @@ def test_criterion_9_footing_desk_scale(footing_desk, footing_runs):
         "I_eff in [0.5, 2.0]": 0.5 <= rec.I_eff <= 2.0,
     }
     ok = all(checks.values())
-    verdict(9, ok, "footing 8^3/500 GMRES, Jacobi-scaled, at tol 1%: "
+    verdict(9, ok, "footing 8^3/500 GMRES, ILU-preconditioned, at tol 1%: "
             f"eta_rel={rec.eta_rel:.3e}, e_rel={rec.e_rel:.3e}, "
             f"I_eff={rec.I_eff:.3f}, solves={rec.fom_solves}, "
             f"mean gmres iters={rec.gmres_mean_iterations:.0f}")

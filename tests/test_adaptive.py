@@ -147,15 +147,16 @@ def test_config_validation():
 
 # Iteration logs at tol 1%: direct solves on Mandel 4x2 (105 unknowns) and
 # 80x16 (12003), and GMRES, whose mean iteration count over the run's solves
-# is pinned as well.
+# is pinned as well (preconditioned by the incomplete factor; 51.24 with
+# the Jacobi scaling alone).
 PINNED_LOGS = [
     ((4, 2), 20, "direct",
      37, (3, 5, 4, 5), [20, 4, 2, 6, 3, 9], 84963626338939.14, None),
     ((80, 16), 40, "direct",
      37, (3, 6, 6, 6), [40, 5, 8, 2, 10, 17], 86665078985953.23, None),
     ((4, 2), 20, "gmres",
-     37, (3, 5, 4, 5), [20, 4, 2, 6, 3, 9], 84963626508788.75,
-     51.24324324324324),
+     37, (3, 5, 4, 5), [20, 4, 2, 6, 3, 9], 84963626243558.83,
+     4.135135135135135),
 ]
 
 
@@ -182,25 +183,32 @@ def test_iteration_logs_pinned(cells, steps, method, fom_solves, sizes,
 # Footing 4^3/50 and 5^3/50 at tol 1%, the direct solver's logs.  GMRES
 # on the left-Jacobi system stalled on both (the flow rows outweighed the
 # mechanics rows); on the symmetrically scaled system it finishes with the
-# same bases and m_max.
+# same bases and m_max.  The GMRES runs also pin their Arnoldi step totals
+# over the reference sweep and over the adaptive run (1800 / 2351 and
+# 2248 / 3138 before the incomplete factor preconditioned them).
 SMALL_FOOTING_LOGS = [
-    (4, (3, 6, 6, 5), [2, 4, 50, 6, 47, 47, 47, 47, 47]),
-    (5, (3, 7, 6, 5), [2, 4, 50, 6, 8, 50, 50, 50, 4]),
+    (4, (3, 6, 6, 5), [2, 4, 50, 6, 47, 47, 47, 47, 47], (368, 468)),
+    (5, (3, 7, 6, 5), [2, 4, 50, 6, 8, 50, 50, 50, 4], (469, 604)),
 ]
 
 
 @pytest.mark.parametrize("method", ["direct", "gmres"])
-@pytest.mark.parametrize("n, sizes, m_max", SMALL_FOOTING_LOGS,
+@pytest.mark.parametrize("n, sizes, m_max, gmres_totals", SMALL_FOOTING_LOGS,
                          ids=["4^3", "5^3"])
-def test_small_footing_logs(n, sizes, m_max, method):
+def test_small_footing_logs(n, sizes, m_max, gmres_totals, method):
     spec = footing_spec(cells=(n, n, n), steps=50)
     spec.solver = dataclasses.replace(spec.solver, method=SolverMethod(method))
     ops, grid = build_problem(spec)
-    J_fom = evaluate_goal(run_primal_fom(ops, grid, solver=spec.solver,
-                                         store_states=False), grid)
+    trajectory = run_primal_fom(ops, grid, solver=spec.solver,
+                                store_states=False)
+    J_fom = evaluate_goal(trajectory, grid)
     record = run_moredwr(ops, grid, spec.moredwr, solver=spec.solver,
                          reference_goal=J_fom).record
     assert record.converged
     assert record.fom_solves == 58
     assert record.basis_sizes == sizes
     assert [log.m_max for log in record.iterations] == m_max
+    if method == "gmres":
+        assert (sum(trajectory.solve_stats["gmres_iterations"]),
+                round(record.gmres_mean_iterations * record.fom_solves)) \
+            == gmres_totals

@@ -264,6 +264,18 @@ def test_cli_solver_failure_exit_code(tmp_path, monkeypatch):
     assert code == 3
 
 
+def test_cli_incomplete_factorization_failure_exit_code(tmp_path, monkeypatch,
+                                                        capsys):
+    def fail(*args, **kwargs):
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(linsolve.spla, "spilu", fail)
+    code = main(["fom", "--problem", "mandel", "--cells", "4x2", "--steps",
+                 "2", "--solver", "gmres", "--out", str(tmp_path / "ilu")])
+    assert code == 3
+    assert "exactly singular" in capsys.readouterr().err
+
+
 def test_cli_bad_log_level_exit_code(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("POROMOR_LOG", "verbose")
     code = main(["fom", "--problem", "mandel", "--cells", "2x1", "--steps",

@@ -10,10 +10,12 @@ from poromor import linsolve
 from poromor.adaptive import run_moredwr
 from poromor.fom import StepSystem, evaluate_goal, run_primal_fom
 from poromor.linsolve import (GMRES_MAX_ITERATIONS, GMRES_RESTART,
-                              GMRES_TOLERANCE, ConvergenceError, Factorization,
+                              GMRES_TOLERANCE, ILU_DROP_TOLERANCE,
+                              ILU_FILL_FACTOR, ConvergenceError, Factorization,
                               FactorizationError, LinearSolverConfig,
                               SolverMethod, _gmres, _openblas_thread_controls,
-                              gmres_solve)
+                              gmres_solve, incomplete_factorization,
+                              jacobi_scaled)
 from poromor.problems import build_problem, mandel_spec
 
 
@@ -52,17 +54,40 @@ def test_factorize_transpose_solve():
     assert np.linalg.norm(A.T @ x - b) / np.linalg.norm(b) < 1e-12
 
 
+GMRES = LinearSolverConfig(method=SolverMethod.GMRES)
+
+
+def preconditioned(matrix):
+    """gmres_solve's scale and preconditioner for ``matrix``, built as
+    StepSystem builds them."""
+    scale, scaled = jacobi_scaled(matrix)
+    ilu = incomplete_factorization(scaled)
+    return dict(scale=scale, precondition=ilu.solve)
+
+
+def jacobi_only(matrix):
+    """The Jacobi scale with M = I: the weaker GMRES that needs dozens of
+    Arnoldi steps where the incomplete factor needs a few."""
+    return dict(scale=jacobi_scaled(matrix)[0], precondition=lambda v: v)
+
+
+def test_incomplete_factorization_singular_raises():
+    singular = sp.csc_matrix(np.array([[1.0, 2.0], [2.0, 4.0]]))
+    with pytest.raises(FactorizationError):
+        incomplete_factorization(singular)
+
+
 def test_gmres_diagonal_one_iteration():
     A = sp.csr_matrix(np.diag([1.0, 10.0, 100.0]))
     b = np.array([1.0, 2.0, 3.0])
-    x, iters = gmres_solve(A, b)
+    x, iters = gmres_solve(A, b, **preconditioned(A))
     assert iters == 1
     np.testing.assert_allclose(A @ x, b, rtol=1e-10)
 
 
 def test_gmres_zero_rhs():
     A = sp.identity(4, format="csr")
-    x, iters = gmres_solve(A, np.zeros(4))
+    x, iters = gmres_solve(A, np.zeros(4), **preconditioned(A))
     assert iters == 0
     assert np.abs(x).max() == 0.0
 
@@ -73,27 +98,32 @@ def test_gmres_matches_direct_on_step_system(mandel_small):
     zeros = np.zeros(ops.n_u), np.zeros(ops.n_p)
     rhs = direct.primal_rhs(*zeros)
     x_direct = np.concatenate(direct.solve_primal(*zeros))
-    x_gmres, iters = gmres_solve(direct.matrix, rhs)
+    x_gmres, iters = gmres_solve(direct.matrix, rhs,
+                                 **preconditioned(direct.matrix))
     assert iters > 0
     rel = np.abs(x_gmres - x_direct).max() / np.abs(x_direct).max()
     assert rel < 1e-6
 
 
 def test_gmres_residual_invariant(mandel_small):
-    # converged solves meet the tolerance on the Jacobi-scaled residual
-    # D r, D = |diag S|^(-1/2), and keep the plain relative residual under
-    # 10x tolerance
+    # converged primal and dual steps meet the tolerance on the
+    # Jacobi-scaled residual D r, D = |diag S|^(-1/2), and keep the plain
+    # relative residual under 10x tolerance; dual steps run on S^T with the
+    # primal steps' incomplete factor transposed
     _, ops, grid = mandel_small
-    system = StepSystem(ops, grid.k)
+    system = StepSystem(ops, grid.k, GMRES)
     rng = np.random.default_rng(11)
     d = 1.0 / np.sqrt(np.abs(system.matrix.diagonal()))
     for _ in range(3):
-        rhs = system.matrix @ rng.standard_normal(ops.n_u + ops.n_p)
-        x, _ = gmres_solve(system.matrix, rhs)
-        r = rhs - system.matrix @ x
-        assert np.linalg.norm(r) / np.linalg.norm(rhs) < 10 * GMRES_TOLERANCE
-        scaled = np.linalg.norm(d * r) / np.linalg.norm(d * rhs)
-        assert scaled <= GMRES_TOLERANCE
+        u, p = rng.standard_normal(ops.n_u), rng.standard_normal(ops.n_p)
+        for matrix, rhs, step in (
+                (system.matrix, system.primal_rhs(u, p), system.solve_primal),
+                (system.dual_matrix, system.dual_rhs(p), system.solve_dual)):
+            r = rhs - matrix @ np.concatenate(step(u, p))
+            assert np.linalg.norm(r) / np.linalg.norm(rhs) < 10 * GMRES_TOLERANCE
+            scaled = np.linalg.norm(d * r) / np.linalg.norm(d * rhs)
+            assert scaled <= GMRES_TOLERANCE
+    assert 0 < max(system.iteration_counts) < GMRES_RESTART
 
 
 def test_gmres_matches_direct_footing_3d():
@@ -105,7 +135,7 @@ def test_gmres_matches_direct_footing_3d():
     zeros = np.zeros(ops.n_u), np.zeros(ops.n_p)
     rhs = direct.primal_rhs(*zeros)
     x_direct = np.concatenate(direct.solve_primal(*zeros))
-    x_gmres, _ = gmres_solve(direct.matrix, rhs)
+    x_gmres, _ = gmres_solve(direct.matrix, rhs, **preconditioned(direct.matrix))
     rel = np.abs(x_gmres - x_direct).max() / np.abs(x_direct).max()
     assert rel < 1e-6
 
@@ -154,8 +184,9 @@ class CountingCSR(sp.csr_matrix):
 
 
 def test_gmres_warm_start_forms_each_product_once(mandel_small):
-    # one initial residual, one product per Arnoldi step and one final
-    # residual, which gmres_solve reuses for its own residual checks
+    # one initial residual, one product per Arnoldi step and _gmres's
+    # residual at the end of its cycle, whose preconditioner solve and
+    # product gmres_solve reuses to move the iterate and its residual
     _, ops, grid = mandel_small
     system = StepSystem(ops, grid.k)
     zeros = np.zeros(ops.n_u), np.zeros(ops.n_p)
@@ -165,21 +196,32 @@ def test_gmres_warm_start_forms_each_product_once(mandel_small):
     x0 = x_direct * (1.0 + 1e-3 * noise)
 
     matrix = CountingCSR(system.matrix)
-    x, iterations = gmres_solve(matrix, rhs, x0=x0)
+    setup = preconditioned(system.matrix)
+    solves = []
+
+    def precondition(v):
+        solves.append(v)
+        return setup["precondition"](v)
+
+    x, iterations = gmres_solve(matrix, rhs, x0=x0, scale=setup["scale"],
+                                precondition=precondition)
     assert 0 < iterations < GMRES_RESTART
     assert matrix.products == iterations + 2
-    x_plain, _ = gmres_solve(system.matrix, rhs, x0=x0)
+    assert len(solves) == iterations + 1
+    x_plain, _ = gmres_solve(system.matrix, rhs, x0=x0, **setup)
     assert np.array_equal(x, x_plain)
 
 
 def test_gmres_nonconvergence_error(monkeypatch):
+    # the incomplete factor of this dense 60x60 matrix is nearly exact, so
+    # the solve runs with M = I, which cannot reach 1e-14 in 4 steps
     rng = np.random.default_rng(1)
     A = sp.csr_matrix(rng.standard_normal((60, 60)) + 2 * np.eye(60))
     monkeypatch.setattr(linsolve, "GMRES_TOLERANCE", 1e-14)
     monkeypatch.setattr(linsolve, "GMRES_RESTART", 2)
     monkeypatch.setattr(linsolve, "GMRES_MAX_ITERATIONS", 4)
     with pytest.raises(ConvergenceError) as err:
-        gmres_solve(A, rng.standard_normal(60))
+        gmres_solve(A, rng.standard_normal(60), **jacobi_only(A))
     assert err.value.residual > 0
     assert err.value.iterations > 0
 
@@ -187,30 +229,34 @@ def test_gmres_nonconvergence_error(monkeypatch):
 @pytest.mark.parametrize("cap, restart", [(1, 100), (7, 5)])
 def test_gmres_cap_counts_arnoldi_steps(mandel_small, monkeypatch, cap,
                                         restart):
-    # the cap bounds Arnoldi steps, not restart cycles: Mandel 4x2's first
-    # primal step needs dozens, so the solve stops after exactly the cap,
-    # a cap that is no multiple of the restart length included
+    # the cap bounds Arnoldi steps, not restart cycles: with M = I Mandel
+    # 4x2's first primal step needs dozens (4 with the incomplete factor),
+    # so the solve stops after exactly the cap, a cap that is no multiple
+    # of the restart length included
     _, ops, grid = mandel_small
     system = StepSystem(ops, grid.k)
     monkeypatch.setattr(linsolve, "GMRES_MAX_ITERATIONS", cap)
     monkeypatch.setattr(linsolve, "GMRES_RESTART", restart)
     zeros = np.zeros(ops.n_u), np.zeros(ops.n_p)
     with pytest.raises(ConvergenceError) as err:
-        gmres_solve(system.matrix, system.primal_rhs(*zeros))
+        gmres_solve(system.matrix, system.primal_rhs(*zeros),
+                    **jacobi_only(system.matrix))
     assert err.value.iterations == cap
 
 
 def test_jacobi_rejects_zero_diagonal():
     A = sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    with pytest.raises(ValueError):
-        gmres_solve(A, np.ones(2))
+    with pytest.raises(FactorizationError):
+        jacobi_scaled(A)
 
 
 def test_config_validation():
-    # the GMRES settings are module constants; the config is the method
+    # the GMRES and ILU settings are module constants; the config is the
+    # method
     assert [f.name for f in dataclasses.fields(LinearSolverConfig)] == ["method"]
     assert GMRES_TOLERANCE > 0
     assert 1 <= GMRES_RESTART <= GMRES_MAX_ITERATIONS
+    assert 0 < ILU_DROP_TOLERANCE < 1 and ILU_FILL_FACTOR >= 1
 
 
 def test_step_matrix_ordering_fill_and_residuals():
@@ -222,8 +268,7 @@ def test_step_matrix_ordering_fill_and_residuals():
     lu = system._lu._lu
     assert lu.L.nnz + lu.U.nnz < 260_000
 
-    D = sp.diags(system._scale)
-    scaled = D @ system.matrix @ D
+    scaled = jacobi_scaled(system.matrix)[1]
     rhs = np.random.default_rng(7).standard_normal(scaled.shape[0])
     for op, transpose in ((scaled, False), (scaled.T, True)):
         x = system._lu.solve(rhs, transpose=transpose)
@@ -276,7 +321,6 @@ def test_sweeps_restore_the_callers_blas_threads(mandel_small, monkeypatch):
         run_primal_fom(ops, grid)
         assert set(counts()) == {2}
         with pytest.raises(ConvergenceError) as err:
-            run_primal_fom(
-                ops, grid, solver=LinearSolverConfig(method=SolverMethod.GMRES))
+            run_primal_fom(ops, grid, solver=GMRES)
         assert err.value.iterations == 1
         assert set(counts()) == {2}
