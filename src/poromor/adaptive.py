@@ -20,7 +20,7 @@ import numpy as np
 
 from .assembly import BlockOperators
 from .estimator import EstimateReport, build_report, estimate_elementwise
-from .fom import StepSystem, TimeGrid
+from .fom import StepSystem, TimeGrid, _stats
 from .linsolve import LinearSolverConfig, _one_blas_thread
 from .pod import PodBasis, ipod_update
 from .rom import (ReducedOperators, ReducedTrajectory, lift, project_operators,
@@ -275,9 +275,9 @@ def run_moredwr(ops: BlockOperators, grid: TimeGrid, config: MoreDwrConfig,
 
 
 def _finalize(record: RunRecord, system: StepSystem) -> None:
-    if system.iteration_counts:
-        record.gmres_mean_iterations = float(np.mean(system.iteration_counts))
-    if system.solve_count != record.fom_solves:
+    stats = _stats(system)
+    record.gmres_mean_iterations = stats.get("gmres_mean_iterations")
+    if stats["solves"] != record.fom_solves:
         raise AssertionError(
-            f"solve accounting mismatch: system {system.solve_count}, "
+            f"solve accounting mismatch: system {stats['solves']}, "
             f"record {record.fom_solves}")

@@ -5,10 +5,8 @@ D = |diag S|^(-1/2), which the caller scales once.  The direct path
 factors it exactly (sparse LU, reused across all time steps, with
 transpose solves for the dual problem).  The iterative path factors it
 incompletely once (SuperLU's threshold ILU, ``incomplete_factorization``)
-and runs restarted GMRES right-preconditioned by that factor, applying its
-transpose for the dual problem.  The GMRES iteration is local
-(``_gmres``): it computes bitwise what scipy's ``gmres`` computes, without
-that function's per-iteration Python overhead.  Every GMRES solve runs
+and runs scipy's restarted GMRES right-preconditioned by that factor,
+applying its transpose for the dual problem.  Every GMRES solve runs
 with the module constants GMRES_TOLERANCE (1e-8), GMRES_RESTART (100) and
 GMRES_MAX_ITERATIONS (5000), on a factor built with ILU_DROP_TOLERANCE
 (3e-3) and ILU_FILL_FACTOR (3).
@@ -28,7 +26,6 @@ from enum import Enum
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg import get_lapack_funcs
 
 __all__ = [
     "SolverMethod",
@@ -241,7 +238,7 @@ def gmres_solve(matrix: sp.spmatrix, rhs: np.ndarray,
     tol = GMRES_TOLERANCE
     iterations = 0
     rtol = tol
-    # the checks on the start and after each of up to six _gmres passes
+    # the checks on the start and after each of up to six gmres passes
     for cycle in range(7):
         rel_plain = np.linalg.norm(r) / norm_b
         r_scaled = d * r
@@ -257,10 +254,16 @@ def gmres_solve(matrix: sp.spmatrix, rhs: np.ndarray,
         # whole cycles within the cap, or one shorter cycle for its tail;
         # the target stays rtol |D b| whatever the residual it starts from
         restart = min(GMRES_RESTART, remaining)
-        z, inner = _gmres(op, r_scaled, None, rtol / rel_scaled, restart,
-                          remaining // restart, r_scaled)
-        iterations += inner
-        # unless it returns at once, _gmres ends on r_scaled - op(z) for the
+        # one callback per Arnoldi step; dtype spares LinearOperator its
+        # probing product on a zero vector
+        steps = []
+        z, _ = spla.gmres(
+            spla.LinearOperator(matrix.shape, matvec=op, dtype=float),
+            r_scaled, rtol=rtol / rel_scaled, atol=0.0, restart=restart,
+            maxiter=remaining // restart, callback=steps.append,
+            callback_type="pr_norm")
+        iterations += len(steps)
+        # unless it returns at once, gmres ends on r_scaled - op(z) for the
         # z it returns, so op last formed M^-1 z and the change S D M^-1 z
         # of the residual
         if last[0] is not z:
@@ -273,109 +276,3 @@ def gmres_solve(matrix: sp.spmatrix, rhs: np.ndarray,
         f"GMRES stalled at relative residual {residual:.3e} "
         f"after {iterations} iterations (tolerance {tol:.1e})",
         residual=residual, iterations=iterations)
-
-
-def _gmres(matvec, b, x0, rtol, restart, maxiter, r0=None):
-    """Restarted GMRES (Saad & Schultz 1986) for ``matvec(x) = b``.
-
-    Runs at most ``maxiter`` cycles of ``restart`` Arnoldi steps and stops
-    after the first cycle whose residual is at most ``rtol * |b|`` (or that
-    breaks down); returns the iterate and the number of Arnoldi steps
-    taken.  A caller that holds ``b - matvec(x0)`` passes it as ``r0``.
-    Derived from the real case of scipy's BSD-licensed ``gmres``
-    (``scipy.sparse.linalg``, 1.17) with ``atol=0`` and no preconditioner,
-    operation for operation: modified Gram-Schmidt on row-stored basis
-    vectors, LAPACK ``lartg`` rotations, the gh-8400 control of the inner
-    tolerance ``ptol`` and the same back substitution, so the iterates are
-    bitwise scipy's.  Two things differ without changing any rounding: the
-    earlier rotations are applied to the new Hessenberg column on Python
-    floats instead of through numpy fancy indexing, and the Gram-Schmidt
-    updates go through one preallocated buffer instead of a temporary per
-    basis vector.
-    """
-    n = b.shape[0]
-    x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
-    eps = np.finfo(float).eps
-    restart = min(restart, n)
-    bnrm2 = np.linalg.norm(b)
-    atol = rtol * bnrm2
-    ptol_max_factor = 1.0
-    ptol = bnrm2 * min(ptol_max_factor, atol / bnrm2)
-    lartg = get_lapack_funcs("lartg", dtype=x.dtype)
-
-    v = np.empty((restart + 1, n))
-    h = np.zeros((restart, restart + 1))
-    buf = np.empty(n)
-    iterations = 0
-    r = r0
-    if r is None:
-        r = b - matvec(x) if x.any() else b
-    if np.linalg.norm(r) < atol:
-        return x, 0
-    for _ in range(maxiter):
-        v[0] = r
-        tmp = np.linalg.norm(v[0])
-        v[0] *= 1 / tmp
-        # right-hand side of the least-squares problem, rotated with h
-        S = [0.0] * (restart + 1)
-        S[0] = tmp
-        givens = []
-
-        breakdown = False
-        for col in range(restart):
-            w = matvec(v[col])
-            h0 = np.linalg.norm(w)
-            for k, vk in enumerate(v[:col + 1]):
-                tmp = vk.dot(w)
-                h[col, k] = tmp
-                np.multiply(vk, tmp, out=buf)
-                np.subtract(w, buf, out=w)
-            h1 = np.linalg.norm(w)
-            v[col + 1] = w
-            if h1 <= eps * h0:  # exact solution
-                h1 = 0.0
-                breakdown = True
-            else:
-                v[col + 1] *= 1 / h1
-
-            hc = h[col, :col + 1].tolist() + [h1]
-            for k, (c, s) in enumerate(givens):
-                n0, n1 = hc[k], hc[k + 1]
-                hc[k] = c * n0 + s * n1
-                hc[k + 1] = -s * n0 + c * n1
-            c, s, mag = lartg(hc[col], hc[col + 1])
-            givens.append((c, s))
-            hc[col], hc[col + 1] = mag, 0.0
-            h[col, :col + 2] = hc
-
-            tmp = -s * S[col]
-            S[col], S[col + 1] = c * S[col], tmp
-            presid = abs(tmp)
-            iterations += 1
-            if presid <= ptol or breakdown:
-                break
-
-        # back substitution on the triangular h[:col+1, :col+1].T, passing
-        # over a zero pivot
-        if h[col, col] == 0:
-            S[col] = 0.0
-        y = np.array(S[:col + 1])
-        for k in range(col, 0, -1):
-            if y[k] != 0:
-                y[k] /= h[k, k]
-                tmp = y[k]
-                y[:k] -= tmp * h[k, :k]
-        if y[0] != 0:
-            y[0] /= h[0, 0]
-        x += y @ v[:col + 1]
-
-        r = b - matvec(x)
-        rnorm = np.linalg.norm(r)
-        if rnorm <= atol or breakdown:
-            break
-        if presid <= ptol:
-            ptol_max_factor = max(eps, 0.25 * ptol_max_factor)
-        else:
-            ptol_max_factor = min(1.0, 1.5 * ptol_max_factor)
-        ptol = presid * min(ptol_max_factor, atol / rnorm)
-    return x, iterations

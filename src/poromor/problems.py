@@ -148,6 +148,13 @@ def _parse_cells(text: str) -> tuple[int, ...]:
     return tuple(int(part) for part in text.lower().split("x"))
 
 
+def _parse_finite(text: str) -> float:
+    value = float(text)
+    if not np.isfinite(value):
+        raise ValueError("finite number expected")
+    return value
+
+
 def _parse_choice(enum):
     """Case-insensitive parser of one enum's values."""
     def parse(text: str):
@@ -167,19 +174,19 @@ CONFIG_KEYS: dict[str, Callable[[str], object]] = {
     "problem": _parse_choice(ProblemKind),
     "cells": _parse_cells,
     "steps": int,
-    "t_end": float,
-    "tol": float,
+    "t_end": _parse_finite,
+    "tol": _parse_finite,
     "solver.method": _parse_choice(SolverMethod),
     "moredwr.extra_dual_iterations": int,
     "moredwr.max_iterations": int,
     "moredwr.min_iterations": int,
-    "material.compressibility_modulus": float,
-    "material.biot_alpha": float,
-    "material.viscosity": float,
-    "material.permeability": float,
-    "material.traction_magnitude": float,
-    "material.lame_mu": float,
-    "material.lame_lambda": float,
+    "material.compressibility_modulus": _parse_finite,
+    "material.biot_alpha": _parse_finite,
+    "material.viscosity": _parse_finite,
+    "material.permeability": _parse_finite,
+    "material.traction_magnitude": _parse_finite,
+    "material.lame_mu": _parse_finite,
+    "material.lame_lambda": _parse_finite,
 }
 
 _SPEC_FIELDS = {"cells": "cells_per_axis", "steps": "num_steps",

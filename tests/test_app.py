@@ -220,6 +220,24 @@ def test_cli_config_error_exit_code(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("key, value", [
+    ("material.traction_magnitude", "nan"), ("material.viscosity", "inf"),
+    ("material.permeability", "nan"), ("t_end", "inf"), ("tol", "nan")])
+def test_cli_non_finite_value_exit_code(tmp_path, capsys, key, value):
+    # unchecked, each reaches the solver as a nan goal, a zero Darcy block,
+    # a singular factor or GMRES run to its cap
+    args = ["moredwr", "--problem", "mandel", "--cells", "4x2", "--steps",
+            "20", "--out", str(tmp_path / "x")]
+    if key == "tol":
+        args += ["--tol", value]
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        args += ["--config", str(cfg)]
+    assert main(args) == 2
+    assert repr(key) in capsys.readouterr().err
+
+
 def test_cli_nonconvergence_exit_code_and_partial_outputs(tmp_path):
     cfg = tmp_path / "hard.cfg"
     cfg.write_text("moredwr.max_iterations = 2\n")
