@@ -86,9 +86,11 @@ class StepSystem:
 
     Both methods factor the Jacobi-scaled matrix D S D once: exactly for
     the direct method, incompletely to precondition GMRES.  Dual solves use
-    the same factor transposed.  Every solve starts from the state it steps
-    from: GMRES iterates from it, and a direct solve adds one LU-solved
-    increment to it.
+    the same factor transposed.  GMRES also keeps one recycled Krylov
+    space per direction, of S for primal and S^T for dual steps, which
+    each solve reads and updates.  Every solve starts from the state it
+    steps from: GMRES iterates from it, and a direct solve adds one
+    LU-solved increment to it.
     """
 
     def __init__(self, ops: BlockOperators, k: float,
@@ -113,6 +115,8 @@ class StepSystem:
         self._scale, scaled = jacobi_scaled(self.matrix)
         self._lu: Factorization | None = None
         self._ilu = None  # SuperLU's incomplete factor, for GMRES
+        # gmres_solve's recycled (C, U) pairs of S and of S^T
+        self._recycled = ([], [])
         if self.solver.method is SolverMethod.DIRECT:
             self._lu = Factorization(scaled)
         else:
@@ -160,7 +164,8 @@ class StepSystem:
             precondition = functools.partial(self._ilu.solve,
                                              trans="T" if transpose else "N")
             x, iters = gmres_solve(matrix, rhs, x0=x, scale=self._scale,
-                                   precondition=precondition)
+                                   precondition=precondition,
+                                   recycle=self._recycled[transpose])
             self.iteration_counts.append(iters)
         else:
             d = self._scale

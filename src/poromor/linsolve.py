@@ -5,17 +5,20 @@ D = |diag S|^(-1/2), which the caller scales once.  The direct path
 factors it exactly (sparse LU, reused across all time steps, with
 transpose solves for the dual problem).  The iterative path factors it
 incompletely once (SuperLU's threshold ILU, ``incomplete_factorization``)
-and runs scipy's restarted GMRES right-preconditioned by that factor,
+and runs scipy's GCROT(m, k), a GMRES that recycles a Krylov subspace
+from one solve to the next, right-preconditioned by that factor and
 applying its transpose for the dual problem.  Every GMRES solve runs
-with the module constants GMRES_TOLERANCE (1e-8), GMRES_RESTART (100) and
-GMRES_MAX_ITERATIONS (5000), on a factor built with ILU_DROP_TOLERANCE
-(3e-3) and ILU_FILL_FACTOR (3).
+with the module constants GMRES_TOLERANCE (1e-8), GMRES_RESTART (20, the
+cycle length m and the recycled space's size k) and GMRES_MAX_ITERATIONS
+(5000), on a factor built with ILU_DROP_TOLERANCE (3e-3) and
+ILU_FILL_FACTOR (3).
 
 ``_one_blas_thread`` runs the sweeps' dense kernels on one OpenBLAS thread.
 """
 
 from __future__ import annotations
 
+import collections
 import ctypes
 import functools
 import os
@@ -113,6 +116,11 @@ class FactorizationError(RuntimeError):
     """Sparse LU factorization failed (singular or structurally defective)."""
 
 
+class _CapReached(Exception):
+    """A GMRES solve asked for one preconditioner application more than
+    GMRES_MAX_ITERATIONS allows."""
+
+
 class ConvergenceError(RuntimeError):
     """Iterative solve did not reach the requested tolerance."""
 
@@ -123,10 +131,10 @@ class ConvergenceError(RuntimeError):
 
 
 # every GMRES solve's tolerance (relative, on the Jacobi-scaled residual
-# D r), restart length and cap on Arnoldi steps; gmres_solve reads them at
-# call time
+# D r), GCROT cycle length m and outer space size k (m = k), and cap on
+# Arnoldi steps; gmres_solve reads them at call time
 GMRES_TOLERANCE = 1.0e-8
-GMRES_RESTART = 100
+GMRES_RESTART = 20
 GMRES_MAX_ITERATIONS = 5000
 # drop tolerance and fill bound (nonzeros of L + U over those of D S D) of
 # the incomplete factor that preconditions every GMRES solve; on footing
@@ -199,19 +207,25 @@ def incomplete_factorization(matrix: sp.spmatrix):
 
 def gmres_solve(matrix: sp.spmatrix, rhs: np.ndarray,
                 x0: np.ndarray | None = None, *, scale: np.ndarray,
-                precondition) -> tuple[np.ndarray, int]:
-    """Restarted GMRES on the scaled system, right-preconditioned.
+                precondition, recycle: list | None = None
+                ) -> tuple[np.ndarray, int]:
+    """GCROT(m, k) on the scaled increment system, right-preconditioned.
 
     With D = ``scale`` and M^-1 applied by ``precondition``, M an
-    approximation of D S D, each restart solves (D S D M^-1) z = D r for
-    the residual r = b - S x of the current iterate, moves x by D M^-1 z
-    and r by the product S D M^-1 z that the pass formed last, so a pass
-    costs one matrix product per Arnoldi step and one for its residual.
-    Right preconditioning leaves the residual GMRES minimizes
-    equal to the scaled residual D r, so convergence is measured on
-    |D r| / |D b| and warm starts stay cheap; the plain relative residual
-    is verified to stay within 10x the tolerance.  The tolerance, restart
-    length and cap on Arnoldi steps are the module's GMRES_* constants.
+    approximation of D S D, each pass runs scipy's flexible GCROT(m, k)
+    (``gcrotmk``; Hicken & Zingg 2010) on (D S D) y = D r for the residual
+    r = b - S x of the current iterate, moves x by D y and r by the product
+    S D y that ``gcrotmk`` formed last.  ``recycle`` is its outer space, a
+    list of at most k pairs (c, u) with D S D u = c and orthonormal c,
+    which the call updates in place; passing the list of the previous
+    solve with the same matrix recycles that solve's Krylov subspace
+    (Parks, de Sturler et al. 2006).  Right preconditioning leaves the
+    residual minimized equal to the scaled residual D r, so convergence is
+    measured on |D r| / |D b| and warm starts stay cheap; the plain
+    relative residual is verified to stay within 10x the tolerance.
+    Iterations count preconditioner applications, one per Arnoldi step,
+    and stop at exactly GMRES_MAX_ITERATIONS.  The tolerance and the cycle
+    length m = k are GMRES_TOLERANCE and GMRES_RESTART.
     """
     if matrix.shape[0] != matrix.shape[1]:
         raise ValueError("matrix must be square")
@@ -219,15 +233,29 @@ def gmres_solve(matrix: sp.spmatrix, rhs: np.ndarray,
     norm_b = np.linalg.norm(rhs)
     if norm_b == 0.0:
         return np.zeros_like(rhs), 0
+    if recycle is None:
+        recycle = []
 
     d = scale
-    last = [None, None, None]  # the z op last multiplied, M^-1 z, S D M^-1 z
+    last = [None, None]  # the y op last multiplied and S D y
+    iterations = 0
 
-    def op(z):
-        y = precondition(z)
-        last[:] = z, y, matrix @ (d * y)
-        return d * last[2]
+    def op(y):
+        last[:] = y, matrix @ (d * y)
+        return d * last[1]
 
+    def apply_preconditioner(v):
+        nonlocal iterations
+        if iterations == GMRES_MAX_ITERATIONS:
+            raise _CapReached
+        iterations += 1
+        return precondition(v)
+
+    # dtype spares LinearOperator its probing product on a zero vector
+    scaled_op = spla.LinearOperator(matrix.shape, matvec=op, dtype=float)
+    preconditioner = spla.LinearOperator(matrix.shape,
+                                         matvec=apply_preconditioner,
+                                         dtype=float)
     norm_db = np.linalg.norm(d * rhs)
     if x0 is None:
         x, r = np.zeros_like(rhs), rhs
@@ -236,40 +264,47 @@ def gmres_solve(matrix: sp.spmatrix, rhs: np.ndarray,
         r = rhs - matrix @ x
 
     tol = GMRES_TOLERANCE
-    iterations = 0
+    k = GMRES_RESTART
     rtol = tol
-    # the checks on the start and after each of up to six gmres passes
+    # the checks on the start and after each of up to six gcrotmk passes
     for cycle in range(7):
         rel_plain = np.linalg.norm(r) / norm_b
         r_scaled = d * r
         rel_scaled = np.linalg.norm(r_scaled) / norm_db
         if rel_scaled <= tol and rel_plain <= 10.0 * tol:
             return x, iterations
-        remaining = GMRES_MAX_ITERATIONS - iterations
-        if cycle == 6 or remaining <= 0:
+        if cycle == 6 or iterations == GMRES_MAX_ITERATIONS:
             break
         if cycle:
             rtol = max(rtol * 0.5 * tol / max(rel_scaled, rel_plain / 10.0),
                        1e-16)
-        # whole cycles within the cap, or one shorter cycle for its tail;
-        # the target stays rtol |D b| whatever the residual it starts from
-        restart = min(GMRES_RESTART, remaining)
-        # one callback per Arnoldi step; dtype spares LinearOperator its
-        # probing product on a zero vector
-        steps = []
-        z, _ = spla.gmres(
-            spla.LinearOperator(matrix.shape, matvec=op, dtype=float),
-            r_scaled, rtol=rtol / rel_scaled, atol=0.0, restart=restart,
-            maxiter=remaining // restart, callback=steps.append,
-            callback_type="pr_norm")
-        iterations += len(steps)
-        # unless it returns at once, gmres ends on r_scaled - op(z) for the
-        # z it returns, so op last formed M^-1 z and the change S D M^-1 z
-        # of the residual
-        if last[0] is not z:
-            op(z)
-        x = x + d * last[1]
-        r = r - last[2]
+        # gcrotmk calls back with its iterate at the start of each outer
+        # cycle; the last one is where a solve stopped by the cap stands
+        iterate = collections.deque(maxlen=1)
+        try:
+            # the target stays rtol |D b| whatever the residual it starts
+            # from; every outer cycle applies the preconditioner at least
+            # once, so the cap ends the pass before maxiter does
+            y, _ = spla.gcrotmk(scaled_op, r_scaled, rtol=rtol / rel_scaled,
+                                atol=0.0, maxiter=GMRES_MAX_ITERATIONS,
+                                M=preconditioner, callback=iterate.append,
+                                m=k, k=k, CU=recycle)
+        except _CapReached:
+            y = iterate[0]
+        # a finished gcrotmk appends (None, y) to the space for the next
+        # call to multiply and orthogonalize, keeping it unless its
+        # orthogonal part is below 1e-12.  After a pass the space nearly
+        # solved that part is tiny, dividing by it breaks D S D u = c, and
+        # footing 5^3 diverged; so the space keeps only the pairs of
+        # gcrotmk's outer cycles, at most k of them
+        if recycle and recycle[-1][0] is None:
+            recycle.pop()
+        # a converged gcrotmk ends on the residual of the y it returns, so
+        # op last formed the change S D y of the residual
+        if last[0] is not y:
+            op(y)
+        x = x + d * y
+        r = r - last[1]
 
     residual = max(rel_plain, rel_scaled)
     raise ConvergenceError(

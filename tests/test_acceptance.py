@@ -2,8 +2,8 @@
 
 Run with ``pytest -v -s tests/test_acceptance.py``.  The heavy reference
 solves are shared through module-scoped fixtures.  The full module takes
-about three minutes on a 2-core Xeon, of which the GMRES footing 8^3/500
-runs that criteria 9 and 10 share take about 110 s.
+about 100 s on a 2-core Xeon, of which the GMRES footing 8^3/500 runs
+that criteria 9 and 10 share take about 55 s.
 """
 
 import dataclasses

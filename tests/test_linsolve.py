@@ -139,9 +139,44 @@ def test_gmres_matches_direct_footing_3d():
     assert rel < 1e-6
 
 
+@pytest.mark.parametrize("k", [GMRES_RESTART, 4])
+def test_gmres_recycles_krylov_space_across_steps(monkeypatch, k):
+    # 30 consecutive footing 4^3 primal steps, each from the direct
+    # trajectory's state: every GMRES step matches the direct one while
+    # the primal space carries at most k pairs (c, u), D S D u = c with
+    # orthonormal c, from step to step, and the transposed space stays
+    # empty until the first dual step; with k = 4 the space fills
+    from poromor.problems import footing_spec
+
+    monkeypatch.setattr(linsolve, "GMRES_RESTART", k)
+    ops, grid = build_problem(footing_spec(cells=(4, 4, 4), steps=50))
+    direct = StepSystem(ops, grid.k)
+    system = StepSystem(ops, grid.k, GMRES)
+    primal, dual = system._recycled
+    u, p = np.zeros(ops.n_u), np.zeros(ops.n_p)
+    for _ in range(30):
+        x_gmres = np.concatenate(system.solve_primal(u, p))
+        u, p = direct.solve_primal(u, p)
+        x_direct = np.concatenate((u, p))
+        rel = np.abs(x_gmres - x_direct).max() / np.abs(x_direct).max()
+        assert rel < 1e-6
+        assert 0 < len(primal) <= k
+        assert not dual
+    # the space halves the Arnoldi steps of the last 10 steps, at least
+    assert sum(system.iteration_counts[-10:]) < sum(system.iteration_counts[:10]) / 2
+    C, U = (np.column_stack(vectors) for vectors in zip(*primal))
+    d = system._scale
+    np.testing.assert_allclose(C.T @ C, np.eye(C.shape[1]), atol=1e-12)
+    assert np.abs(d[:, None] * (system.matrix @ (d[:, None] * U)) - C).max() \
+        < 1e-10
+    system.solve_dual(u, p)
+    assert 0 < len(dual) <= k
+
+
 def test_gmres_restart_5_converges(mandel_small, monkeypatch):
-    # with M = I and restart 5, Mandel 4x2's first primal step takes 384
-    # Arnoldi steps over dozens of restart cycles
+    # with M = I and GCROT(5, 5), Mandel 4x2's first primal step takes 82
+    # Arnoldi steps over a dozen outer cycles (384 with GMRES restarted
+    # every 5 steps)
     _, ops, grid = mandel_small
     system = StepSystem(ops, grid.k)
     monkeypatch.setattr(linsolve, "GMRES_RESTART", 5)
@@ -149,7 +184,7 @@ def test_gmres_restart_5_converges(mandel_small, monkeypatch):
     x_direct = np.concatenate(system.solve_primal(*zeros))
     x, iterations = gmres_solve(system.matrix, system.primal_rhs(*zeros),
                                 **jacobi_only(system.matrix))
-    assert iterations == 384
+    assert iterations == 82
     rel = np.abs(x - x_direct).max() / np.abs(x_direct).max()
     assert rel < 1e-6
 
@@ -165,9 +200,10 @@ class CountingCSR(sp.csr_matrix):
 
 
 def test_gmres_warm_start_forms_each_product_once(mandel_small):
-    # one initial residual, one product per Arnoldi step and gmres's
-    # residual at the end of its cycle, whose preconditioner solve and
-    # product gmres_solve reuses to move the iterate and its residual
+    # one initial residual, one product per Arnoldi step and gcrotmk's
+    # residual of the increment it returns, whose product gmres_solve
+    # reuses to move the residual; one preconditioner solve per Arnoldi
+    # step
     _, ops, grid = mandel_small
     system = StepSystem(ops, grid.k)
     zeros = np.zeros(ops.n_u), np.zeros(ops.n_p)
@@ -188,7 +224,7 @@ def test_gmres_warm_start_forms_each_product_once(mandel_small):
                                 precondition=precondition)
     assert 0 < iterations < GMRES_RESTART
     assert matrix.products == iterations + 2
-    assert len(solves) == iterations + 1
+    assert len(solves) == iterations
     x_plain, _ = gmres_solve(system.matrix, rhs, x0=x0, **setup)
     assert np.array_equal(x, x_plain)
 
