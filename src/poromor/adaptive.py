@@ -23,9 +23,8 @@ from .estimator import EstimateReport, build_report, estimate_elementwise
 from .fom import StepSystem, TimeGrid, _stats
 from .linsolve import LinearSolverConfig, _one_blas_thread
 from .pod import PodBasis, ipod_update
-from .rom import (ReducedOperators, ReducedTrajectory, lift, project_operators,
-                  reduced_goal, reduced_goal_series, solve_dual_rom,
-                  solve_primal_rom)
+from .rom import (ReducedTrajectory, lift, project_operators, reduced_goal,
+                  reduced_goal_series, solve_dual_rom, solve_primal_rom)
 
 __all__ = [
     "MoreDwrConfig",
@@ -53,7 +52,6 @@ class MoreDwrConfig:
 
     tol_rel: float = 0.01
     extra_dual_iterations: int = 5
-    max_iterations: int | None = None
     min_iterations: int = 0
 
     def validate(self) -> None:
@@ -63,12 +61,6 @@ class MoreDwrConfig:
             raise ValueError("extra_dual_iterations must be >= 0")
         if self.min_iterations < 0:
             raise ValueError("min_iterations must be >= 0")
-        # the loop may stop only after min_iterations, so a cap at or below
-        # it could never converge
-        if (self.max_iterations is not None
-                and self.max_iterations <= self.min_iterations):
-            raise ValueError(f"max_iterations ({self.max_iterations}) must exceed "
-                             f"min_iterations ({self.min_iterations})")
 
 
 @dataclass
@@ -115,10 +107,7 @@ class RunRecord:
 @dataclass
 class MoreDwrResult:
     record: RunRecord
-    primal: ReducedTrajectory
-    report: EstimateReport | None
-    reduced: ReducedOperators | None
-    bases: tuple[PodBasis, PodBasis, PodBasis, PodBasis]
+    report: EstimateReport | None  # None when the problem is homogeneous
 
 
 def initialize_bases(ops: BlockOperators, system: StepSystem):
@@ -193,14 +182,14 @@ def run_moredwr(ops: BlockOperators, grid: TimeGrid, config: MoreDwrConfig,
 
     ``reference_goal`` (a full-order goal value) is only used for reporting
     true errors and the effectivity/indicator indices; the loop itself never
-    consults it.  Non-convergence within ``max_iterations`` is reported in
-    the record, not raised.
+    consults it.  The loop runs at most max(M, min_iterations + 1)
+    iterations; non-convergence within them is reported in the record, not
+    raised.
     """
     config.validate()
     start = time.perf_counter()
     record = RunRecord(tol_rel=config.tol_rel, J_fom=reference_goal)
-    max_iterations = config.max_iterations or max(grid.num_elements,
-                                                  config.min_iterations + 1)
+    cap = max(grid.num_elements, config.min_iterations + 1)
 
     system = StepSystem(ops, grid.k, solver)
     bases, record.init_solves = initialize_bases(ops, system)
@@ -213,14 +202,9 @@ def run_moredwr(ops: BlockOperators, grid: TimeGrid, config: MoreDwrConfig,
         record.goal_series = np.zeros(grid.num_elements + 1)
         record.wall_time = time.perf_counter() - start
         _finalize(record, system)
-        empty = ReducedTrajectory(np.zeros((grid.num_elements + 1, 0)),
-                                  np.zeros((grid.num_elements + 1, 0)),
-                                  (pu.version, pp.version, du.version,
-                                   dp.version))
-        return MoreDwrResult(record, empty, None, None, (pu, pp, du, dp))
+        return MoreDwrResult(record, None)
 
-    red = primal = dual = report = None
-    for iteration in range(1, max_iterations + 1):
+    for iteration in range(1, cap + 1):
         red = project_operators(ops, (pu, pp), (du, dp))
         primal = solve_primal_rom(red, grid)
         dual = solve_dual_rom(red, grid)
@@ -244,9 +228,8 @@ def run_moredwr(ops: BlockOperators, grid: TimeGrid, config: MoreDwrConfig,
         if abs(report.eta_rel) < config.tol_rel and iteration > config.min_iterations:
             record.converged = True
             break
-        if iteration == max_iterations:
-            logger.warning("tolerance not reached within %d iterations",
-                           max_iterations)
+        if iteration == cap:
+            logger.warning("tolerance not reached within %d iterations", cap)
             break
 
         extra_start = None
@@ -271,7 +254,7 @@ def run_moredwr(ops: BlockOperators, grid: TimeGrid, config: MoreDwrConfig,
     record.goal_series = reduced_goal_series(red, primal)
     record.wall_time = time.perf_counter() - start
     _finalize(record, system)
-    return MoreDwrResult(record, primal, report, red, (pu, pp, du, dp))
+    return MoreDwrResult(record, report)
 
 
 def _finalize(record: RunRecord, system: StepSystem) -> None:

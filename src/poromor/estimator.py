@@ -57,7 +57,6 @@ class EstimateReport:
     eta_m: np.ndarray
     eta: float
     eta_rel: float
-    eta_m_rel: np.ndarray
     m_max: int
     J_rom: float
     J_fom: float | None = None
@@ -130,10 +129,10 @@ def build_report(eta_m: np.ndarray, J_rom: float,
     """Assemble the full estimate report (fixed summation order)."""
     eta_m = np.asarray(eta_m, dtype=float)
     eta = float(eta_m.sum())
-    eta_rel, eta_m_rel, m_max = global_relative(eta_m, J_rom)
+    eta_rel, _, m_max = global_relative(eta_m, J_rom)
     I_eff = I_ind = None
     if J_fom is not None:
         I_eff = effectivity(J_fom, J_rom, eta)
         I_ind = indicator(J_fom, J_rom, eta_m)
-    return EstimateReport(eta_m, eta, eta_rel, eta_m_rel, m_max, J_rom,
+    return EstimateReport(eta_m, eta, eta_rel, m_max, J_rom,
                           J_fom, I_eff, I_ind)

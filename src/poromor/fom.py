@@ -234,17 +234,11 @@ def _stats(system: StepSystem) -> dict:
     return stats
 
 
-def evaluate_goal(trajectory: Trajectory, grid: TimeGrid,
-                  g_goal: np.ndarray | None = None) -> float:
-    """Time-integrated goal J = sum_m k * (g . p_m) over elements 1..M.
+def evaluate_goal(trajectory: Trajectory, grid: TimeGrid) -> float:
+    """Time-integrated goal J = sum_m k * (g . p_m) over elements 1..M, from
+    the goal series every primal sweep caches.
 
     Summed exactly (fsum): J carries ~14 orders of magnitude more weight
     than the goal errors the estimator resolves.
     """
-    if trajectory.goal_series is not None and g_goal is None:
-        return grid.k * math.fsum(trajectory.goal_series[1:])
-    if trajectory.P is None:
-        raise ValueError("need stored states or a cached goal series")
-    if g_goal is None:
-        raise ValueError("g_goal required when no goal series is cached")
-    return grid.k * math.fsum(trajectory.P[1:] @ g_goal)
+    return grid.k * math.fsum(trajectory.goal_series[1:])

@@ -113,7 +113,14 @@ class SolverMethod(Enum):
 
 
 class FactorizationError(RuntimeError):
-    """Sparse LU factorization failed (singular or structurally defective)."""
+    """Sparse LU factorization failed (singular, structurally defective or
+    out of memory)."""
+
+
+# what SuperLU raises when a factorization fails: RuntimeError for a
+# singular matrix; MemoryError (which carries no text), or SystemError
+# ("gstrf was called with invalid arguments"), when an allocation fails
+_FACTOR_FAILURES = (RuntimeError, MemoryError, SystemError)
 
 
 class _CapReached(Exception):
@@ -163,8 +170,8 @@ class Factorization:
             self._lu = spla.splu(sp.csc_matrix(matrix),
                                  permc_spec="MMD_AT_PLUS_A",
                                  options=dict(SymmetricMode=True))
-        except RuntimeError as exc:
-            raise FactorizationError(str(exc)) from exc
+        except _FACTOR_FAILURES as exc:
+            raise FactorizationError(str(exc) or "out of memory") from exc
 
     def solve(self, rhs: np.ndarray, transpose: bool = False) -> np.ndarray:
         return self._lu.solve(rhs, trans="T" if transpose else "N")
@@ -201,8 +208,8 @@ def incomplete_factorization(matrix: sp.spmatrix):
     try:
         return spla.spilu(sp.csc_matrix(matrix), drop_tol=ILU_DROP_TOLERANCE,
                           fill_factor=ILU_FILL_FACTOR)
-    except RuntimeError as exc:
-        raise FactorizationError(str(exc)) from exc
+    except _FACTOR_FAILURES as exc:
+        raise FactorizationError(str(exc) or "out of memory") from exc
 
 
 def gmres_solve(matrix: sp.spmatrix, rhs: np.ndarray,

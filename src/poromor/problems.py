@@ -178,7 +178,6 @@ CONFIG_KEYS: dict[str, Callable[[str], object]] = {
     "tol": _parse_finite,
     "solver.method": _parse_choice(SolverMethod),
     "moredwr.extra_dual_iterations": int,
-    "moredwr.max_iterations": int,
     "moredwr.min_iterations": int,
     "material.compressibility_modulus": _parse_finite,
     "material.biot_alpha": _parse_finite,

@@ -123,18 +123,13 @@ def load_reference(directory) -> dict:
     summary = read_summary(directory)
     if summary.get("run_kind") != "fom":
         raise ValueError(f"{directory} does not hold a full-order reference run")
-    goal_path = Path(directory) / GOAL_CSV
-    times, series = [], []
-    with open(goal_path, "r", newline="", encoding="utf-8") as handle:
-        reader = csv.DictReader(handle)
-        for row in reader:
-            times.append(float(row["t"]))
-            series.append(float(row["goal_fom"]))
+    with open(Path(directory) / GOAL_CSV, "r", newline="",
+              encoding="utf-8") as handle:
+        series = [float(row["goal_fom"]) for row in csv.DictReader(handle)]
     return {
         "fingerprint": summary["fingerprint"],
         "J_fom": float(summary["J_fom"]),
         "wall_time_s": float(summary["wall_time_s"]),
-        "times": np.asarray(times),
         "goal_series": np.asarray(series),
     }
 

@@ -19,7 +19,7 @@ def mandel_small_fom(mandel_small):
     _, ops, grid = mandel_small
     primal = run_primal_fom(ops, grid)
     dual = run_dual_fom(ops, grid)
-    J_fom = evaluate_goal(primal, grid, ops.g_goal)
+    J_fom = evaluate_goal(primal, grid)
     return primal, dual, J_fom
 
 

@@ -101,12 +101,14 @@ def test_reproducibility(mandel_small):
     assert a.record.basis_sizes == b.record.basis_sizes
 
 
-def test_nonconvergence_reported_not_raised(mandel_small):
-    _, ops, grid = mandel_small
-    config = dataclasses.replace(FAST, tol_rel=1e-14, max_iterations=2)
+def test_nonconvergence_reported_not_raised():
+    # M = 3 steps: the default cap of max(M, min_iterations + 1) = 3
+    # iterations stops the run at eta_rel ~ 5e-6
+    ops, grid = build_problem(mandel_spec(cells=(4, 2), steps=3))
+    config = dataclasses.replace(FAST, tol_rel=1e-14)
     result = run_moredwr(ops, grid, config)
     assert not result.record.converged
-    assert len(result.record.iterations) == 2
+    assert len(result.record.iterations) == 3
     assert result.record.eta_rel != 0.0
 
 

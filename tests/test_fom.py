@@ -186,20 +186,21 @@ def test_evaluate_goal_examples(mandel_small):
     _, ops, grid = mandel_small
     M = grid.num_elements
     # constant p == 1: J = |Gamma_bottom| * T
-    ones = Trajectory(np.zeros((M + 1, ops.n_u)), np.ones((M + 1, ops.n_p)))
-    J = evaluate_goal(ones, grid, ops.g_goal)
+    series = np.ones((M + 1, ops.n_p)) @ ops.g_goal
+    J = evaluate_goal(Trajectory(None, None, goal_series=series), grid)
     # the goal vector is zeroed on the constrained right-edge dof
     expected_measure = ops.g_goal.sum()
     assert J == pytest.approx(expected_measure * 5.0e6, rel=1e-12)
 
-    zero = Trajectory(np.zeros((M + 1, ops.n_u)), np.zeros((M + 1, ops.n_p)))
-    assert evaluate_goal(zero, grid, ops.g_goal) == 0.0
+    zero = Trajectory(None, None, goal_series=np.zeros(M + 1))
+    assert evaluate_goal(zero, grid) == 0.0
 
 
 def test_evaluate_goal_hand_example():
+    # row 0, the initial condition, is not integrated
     grid = TimeGrid(t_end=2.0, num_elements=1)
-    traj = Trajectory(np.zeros((2, 0)), np.array([[0.0], [3.0]]))
-    assert evaluate_goal(traj, grid, np.array([1.0])) == pytest.approx(6.0)
+    traj = Trajectory(None, None, goal_series=np.array([5.0, 3.0]))
+    assert evaluate_goal(traj, grid) == pytest.approx(6.0)
 
 
 def test_fom_residual_orthogonality(mandel_small):
