@@ -83,9 +83,7 @@ class RunRecord:
     converged: bool = False
     trivial: bool = False
     iterations: list[IterationLog] = field(default_factory=list)
-    init_solves: int = 0
-    enrichment_iterations: int = 0
-    extra_dual_solves: int = 0
+    fom_solves: int = 0
     basis_sizes: tuple[int, int, int, int] = (0, 0, 0, 0)
     eta: float = 0.0
     eta_rel: float = 0.0
@@ -99,10 +97,6 @@ class RunRecord:
     speedup: float | None = None
     gmres_mean_iterations: float | None = None
 
-    @property
-    def fom_solves(self) -> int:
-        return self.init_solves + 2 * self.enrichment_iterations + self.extra_dual_solves
-
 
 @dataclass
 class MoreDwrResult:
@@ -110,47 +104,41 @@ class MoreDwrResult:
     report: EstimateReport | None  # None when the problem is homogeneous
 
 
+def _enrich(bases: tuple[PodBasis, PodBasis, PodBasis, PodBasis],
+            primal_start: tuple[np.ndarray, np.ndarray],
+            dual_start: tuple[np.ndarray, np.ndarray], system: StepSystem):
+    """One primal full-order step from ``primal_start`` and one dual step
+    from ``dual_start``; returns the four bases updated with the new
+    snapshots."""
+    pu, pp, du, dp = bases
+    u, p = system.solve_primal(*primal_start)
+    zu, zp = system.solve_dual(*dual_start)
+    return (ipod_update(pu, u), ipod_update(pp, p),
+            ipod_update(du, zu), ipod_update(dp, zp))
+
+
 def initialize_bases(ops: BlockOperators, system: StepSystem):
-    """Seed the four bases from one primal and one dual full-order step.
-
-    The primal step starts from the zero initial condition on the first
-    temporal element; the dual step starts from the zero terminal condition
-    on the last one.  Returns the bases and the solve count (2).
-    """
+    """Seed the four bases: the enrichment of the empty bases from the zero
+    initial condition (primal, first temporal element) and the zero
+    terminal condition (dual, last one)."""
     sizes = (ops.n_u, ops.n_p, ops.n_u, ops.n_p)
-    pu, pp, du, dp = (PodBasis.empty(n, energy)
-                      for n, energy in zip(sizes, ENERGY_THRESHOLDS))
-
-    u1, p1 = system.solve_primal(np.zeros(ops.n_u), np.zeros(ops.n_p))
-    pu = ipod_update(pu, u1)
-    pp = ipod_update(pp, p1)
-    zu, zp = system.solve_dual(np.zeros(ops.n_u), np.zeros(ops.n_p))
-    du = ipod_update(du, zu)
-    dp = ipod_update(dp, zp)
-    return (pu, pp, du, dp), 2
+    empty = tuple(PodBasis.empty(n, energy)
+                  for n, energy in zip(sizes, ENERGY_THRESHOLDS))
+    zero = (np.zeros(ops.n_u), np.zeros(ops.n_p))
+    return _enrich(empty, zero, zero, system)
 
 
 def enrich_at(bases: tuple[PodBasis, PodBasis, PodBasis, PodBasis],
               m_max: int, primal: ReducedTrajectory, dual: ReducedTrajectory,
               system: StepSystem):
-    """One primal and one dual full-order step on temporal element m_max.
-
-    The primal step starts from the lifted reduced state at the element's
-    left endpoint, the dual step from the lifted reduced adjoint at its
-    right endpoint (the zero terminal condition when m_max == M).  Returns
-    the four bases updated with the new snapshots.
-    """
+    """Enrich the bases on temporal element m_max: the primal step starts
+    from the lifted reduced state at the element's left endpoint, the dual
+    step from the lifted reduced adjoint at its right endpoint (the zero
+    terminal condition when m_max == M)."""
     pu, pp, du, dp = bases
-    u_prev = lift(primal.U[m_max - 1], pu)
-    p_prev = lift(primal.P[m_max - 1], pp)
-    zu_next = lift(dual.U[m_max], du)
-    zp_next = lift(dual.P[m_max], dp)
-
-    u_new, p_new = system.solve_primal(u_prev, p_prev)
-    zu_new, zp_new = system.solve_dual(zu_next, zp_next)
-
-    return (ipod_update(pu, u_new), ipod_update(pp, p_new),
-            ipod_update(du, zu_new), ipod_update(dp, zp_new))
+    return _enrich(bases,
+                   (lift(primal.U[m_max - 1], pu), lift(primal.P[m_max - 1], pp)),
+                   (lift(dual.U[m_max], du), lift(dual.P[m_max], dp)), system)
 
 
 def extra_dual_enrichment(dual_bases: tuple[PodBasis, PodBasis],
@@ -192,8 +180,7 @@ def run_moredwr(ops: BlockOperators, grid: TimeGrid, config: MoreDwrConfig,
     cap = max(grid.num_elements, config.min_iterations + 1)
 
     system = StepSystem(ops, grid.k, solver)
-    bases, record.init_solves = initialize_bases(ops, system)
-    pu, pp, du, dp = bases
+    pu, pp, du, dp = initialize_bases(ops, system)
 
     if pu.rank == 0 and pp.rank == 0:
         # homogeneous problem: the zero reduced solution is exact
@@ -218,12 +205,12 @@ def run_moredwr(ops: BlockOperators, grid: TimeGrid, config: MoreDwrConfig,
         record.iterations.append(IterationLog(
             iteration=iteration, eta_rel=report.eta_rel,
             basis_sizes=(pu.rank, pp.rank, du.rank, dp.rank),
-            fom_solves=record.fom_solves,
+            fom_solves=system.solve_count,
             wall_time=time.perf_counter() - start,
             e_rel=e_rel, J_rom=J_rom, m_max=report.m_max))
         logger.info("iteration %d: eta_rel=%.4e bases=%s fom_solves=%d",
                     iteration, report.eta_rel,
-                    record.iterations[-1].basis_sizes, record.fom_solves)
+                    record.iterations[-1].basis_sizes, system.solve_count)
 
         if abs(report.eta_rel) < config.tol_rel and iteration > config.min_iterations:
             record.converged = True
@@ -239,10 +226,8 @@ def run_moredwr(ops: BlockOperators, grid: TimeGrid, config: MoreDwrConfig,
 
         pu, pp, du, dp = enrich_at((pu, pp, du, dp), report.m_max, primal,
                                    dual, system)
-        record.enrichment_iterations += 1
         if extra_start is not None:
             du, dp = extra_dual_enrichment((du, dp), extra_start, steps, system)
-            record.extra_dual_solves += steps
 
     record.basis_sizes = (pu.rank, pp.rank, du.rank, dp.rank)
     record.eta = report.eta
@@ -258,9 +243,5 @@ def run_moredwr(ops: BlockOperators, grid: TimeGrid, config: MoreDwrConfig,
 
 
 def _finalize(record: RunRecord, system: StepSystem) -> None:
-    stats = _stats(system)
-    record.gmres_mean_iterations = stats.get("gmres_mean_iterations")
-    if stats["solves"] != record.fom_solves:
-        raise AssertionError(
-            f"solve accounting mismatch: system {stats['solves']}, "
-            f"record {record.fom_solves}")
+    record.fom_solves = system.solve_count
+    record.gmres_mean_iterations = _stats(system).get("gmres_mean_iterations")

@@ -65,7 +65,9 @@ class ProblemSpec:
     @property
     def fingerprint(self) -> str:
         cells = "x".join(str(n) for n in self.cells_per_axis)
-        return f"{self.kind.value}:{cells}:{self.num_steps}:{self.t_end:.17g}"
+        values = (self.t_end, *dataclasses.astuple(self.material))
+        return ":".join([self.kind.value, cells, str(self.num_steps),
+                         *(f"{v:.17g}" for v in values)])
 
     def validate(self) -> None:
         if self.num_steps < 1:

@@ -1,9 +1,9 @@
 """Acceptance suite: one test per criterion, one printed verdict line each.
 
 Run with ``pytest -v -s tests/test_acceptance.py``.  The heavy reference
-solves are shared through module-scoped fixtures.  The full module takes
-about 100 s on a 2-core Xeon, of which the GMRES footing 8^3/500 runs
-that criteria 9 and 10 share take about 55 s.
+solves are shared through module-scoped fixtures.  The full module took
+101 s in one run on a quiet 2-core Xeon; criteria 9 and 10, which share
+the GMRES footing 8^3/500 runs, took 66 s on their own.
 """
 
 import dataclasses
@@ -15,7 +15,7 @@ import pytest
 from conftest import make_identity_basis, truncated_pod_basis
 from poromor.adaptive import run_moredwr
 from poromor.estimator import estimate_elementwise
-from poromor.fom import StepSystem, evaluate_goal, run_dual_fom, run_primal_fom
+from poromor.fom import StepSystem, evaluate_goal, run_primal_fom
 from poromor.pod import PodBasis, ipod_update
 from poromor.problems import build_problem, footing_spec, mandel_spec
 from poromor.rom import (ReducedTrajectory, project_operators, reduced_goal,

@@ -1,4 +1,6 @@
 import dataclasses
+import logging
+import re
 
 import numpy as np
 import pytest
@@ -16,8 +18,9 @@ FAST = MoreDwrConfig(tol_rel=0.01, extra_dual_iterations=5, min_iterations=0)
 
 def test_initialize_bases_counts(mandel_small):
     _, ops, grid = mandel_small
-    (pu, pp, du, dp), solves = initialize_bases(ops, StepSystem(ops, grid.k))
-    assert solves == 2
+    system = StepSystem(ops, grid.k)
+    pu, pp, du, dp = initialize_bases(ops, system)
+    assert system.solve_count == 2
     assert (pu.rank, pp.rank, du.rank, dp.rank) == (1, 1, 1, 1)
 
 
@@ -39,14 +42,15 @@ def test_loose_tolerance_stops_after_first_estimate(mandel_small):
     result = run_moredwr(ops, grid, config)
     assert result.record.converged
     assert len(result.record.iterations) == 1
-    assert result.record.enrichment_iterations == 0
+    # the two seed solves and no enrichment
+    assert result.record.iterations[0].fom_solves == 2
     assert result.record.fom_solves == 2
 
 
 def test_enrich_in_span_keeps_sizes(mandel_small):
     _, ops, grid = mandel_small
     system = StepSystem(ops, grid.k)
-    bases, _ = initialize_bases(ops, system)
+    bases = initialize_bases(ops, system)
     red = project_operators(ops, bases[:2], bases[2:])
     primal = solve_primal_rom(red, grid)
     dual = solve_dual_rom(red, grid)
@@ -74,12 +78,16 @@ def test_solve_accounting_identity(mandel_small, monkeypatch):
     _, ops, grid = mandel_small
     monkeypatch.setattr(adaptive, "EXTRA_DUAL_STEPS", 3)
     config = dataclasses.replace(FAST, tol_rel=1e-4, extra_dual_iterations=2)
-    result = run_moredwr(ops, grid, config)
-    rec = result.record
-    expected = rec.init_solves + 2 * rec.enrichment_iterations + rec.extra_dual_solves
-    assert rec.fom_solves == expected
-    assert rec.extra_dual_solves <= 2 * 3
-    assert rec.iterations[-1].fom_solves <= rec.fom_solves
+    rec = run_moredwr(ops, grid, config).record
+    assert len(rec.iterations) > 3  # past the extra dual iterations
+    # 2 seed solves, 2 per enrichment, and the extra dual steps in each of
+    # the first extra_dual_iterations enrichments
+    extra = min(adaptive.EXTRA_DUAL_STEPS, grid.num_elements)
+    for log in rec.iterations:
+        i = log.iteration
+        assert log.fom_solves == \
+            2 + 2 * (i - 1) + extra * min(i - 1, config.extra_dual_iterations)
+    assert rec.fom_solves == rec.iterations[-1].fom_solves
 
 
 def test_monotone_basis_growth(mandel_small):
@@ -101,15 +109,25 @@ def test_reproducibility(mandel_small):
     assert a.record.basis_sizes == b.record.basis_sizes
 
 
-def test_nonconvergence_reported_not_raised():
+def test_nonconvergence_reported_not_raised(caplog):
     # M = 3 steps: the default cap of max(M, min_iterations + 1) = 3
     # iterations stops the run at eta_rel ~ 5e-6
     ops, grid = build_problem(mandel_spec(cells=(4, 2), steps=3))
     config = dataclasses.replace(FAST, tol_rel=1e-14)
+    caplog.set_level(logging.INFO, logger="poromor.adaptive")
     result = run_moredwr(ops, grid, config)
     assert not result.record.converged
     assert len(result.record.iterations) == 3
     assert result.record.eta_rel != 0.0
+
+    # the INFO line of each iteration, with the step system's solve count
+    records = [r for r in caplog.records if r.name == "poromor.adaptive"]
+    logged = [re.fullmatch(r"iteration (\d+): .* fom_solves=(\d+)", r.message)
+              for r in records if r.levelno == logging.INFO]
+    assert [(int(m[1]), int(m[2])) for m in logged] == \
+        [(log.iteration, log.fom_solves) for log in result.record.iterations]
+    assert [r.message for r in records if r.levelno == logging.WARNING] == \
+        ["tolerance not reached within 3 iterations"]
 
 
 def test_min_iterations_suppresses_stopping(mandel_small):
@@ -122,12 +140,15 @@ def test_min_iterations_suppresses_stopping(mandel_small):
 
 def test_extra_dual_disabled_changes_accounting(mandel_small):
     _, ops, grid = mandel_small
-    on = run_moredwr(ops, grid, dataclasses.replace(FAST, tol_rel=0.05))
+    # at tol 1% both runs enrich once (at 5% neither would)
+    on = run_moredwr(ops, grid, FAST)
     off = run_moredwr(ops, grid, dataclasses.replace(
-        FAST, tol_rel=0.05, extra_dual_iterations=0))
-    assert off.record.extra_dual_solves == 0
-    if on.record.enrichment_iterations:
-        assert on.record.extra_dual_solves > 0
+        FAST, extra_dual_iterations=0))
+    # without extra dual steps: the 2 seed solves and 2 per enrichment
+    assert [log.fom_solves for log in off.record.iterations] == \
+        [2 * log.iteration for log in off.record.iterations]
+    assert len(on.record.iterations) > 1
+    assert on.record.fom_solves > 2 * len(on.record.iterations)
 
 
 def test_final_report_matches_last_iteration(mandel_small):

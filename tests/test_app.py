@@ -3,7 +3,6 @@ import dataclasses
 import math
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from poromor import adaptive, linsolve, reports
@@ -12,8 +11,8 @@ from poromor.discretization import BoundaryTag, ProblemKind
 from poromor.estimator import DegenerateNormalizationError
 from poromor.assembly import MaterialParams
 from poromor.linsolve import LinearSolverConfig, SolverMethod
-from poromor.problems import (CONFIG_KEYS, ConfigError, footing_spec,
-                              mandel_spec, parse_config, read_config_file)
+from poromor.problems import (CONFIG_KEYS, ConfigError, parse_config,
+                              read_config_file)
 from poromor.rom import DegenerateBasisError
 
 
@@ -313,13 +312,21 @@ def test_cli_bad_log_level_exit_code(tmp_path, monkeypatch, capsys):
 
 
 def test_cli_reference_fingerprint_guard(tmp_path):
-    fom_dir = tmp_path / "fom"
-    assert main(["fom", "--problem", "mandel", "--cells", "4x2", "--steps",
-                 "20", "--out", str(fom_dir)]) == 0
-    code = main(["moredwr", "--problem", "mandel", "--cells", "8x4",
-                 "--steps", "20", "--tol", "0.5", "--reference",
-                 str(fom_dir), "--out", str(tmp_path / "x")])
-    assert code == 2
+    # a default Mandel 4x2/20 run refuses a reference made on another mesh
+    # or with another material
+    cases = {"mesh": ("8x4", ""),
+             "material": ("4x2", "material.traction_magnitude = 2e7\n")}
+    for name, (cells, config_text) in cases.items():
+        config = tmp_path / f"{name}.cfg"
+        config.write_text(config_text)
+        fom_dir = tmp_path / f"fom-{name}"
+        assert main(["fom", "--config", str(config), "--problem", "mandel",
+                     "--cells", cells, "--steps", "20",
+                     "--out", str(fom_dir)]) == 0
+        code = main(["moredwr", "--problem", "mandel", "--cells", "4x2",
+                     "--steps", "20", "--reference", str(fom_dir),
+                     "--out", str(tmp_path / f"x-{name}")])
+        assert code == 2, name
 
 
 def test_cli_moredwr_without_reference(tmp_path):

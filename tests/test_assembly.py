@@ -11,16 +11,15 @@ import itertools
 import numpy as np
 import pytest
 
-from poromor.assembly import (MaterialParams, apply_dirichlet,
-                              assemble_coupling, assemble_elasticity,
-                              assemble_goal_vector, assemble_operators,
-                              assemble_pressure_blocks, assemble_traction,
-                              dirichlet_dofs)
+from poromor.assembly import (MaterialParams, assemble_coupling,
+                              assemble_elasticity, assemble_goal_vector,
+                              assemble_operators, assemble_pressure_blocks,
+                              assemble_traction, dirichlet_dofs)
 from poromor.discretization import (BoundaryTag, ProblemKind,
                                     build_structured_mesh,
                                     build_taylor_hood_space, tag_boundaries)
 from poromor.linsolve import Factorization
-from poromor.problems import build_problem, footing_spec, mandel_spec
+from poromor.problems import footing_spec, mandel_spec
 
 
 # ---------------------------------------------------------------------------

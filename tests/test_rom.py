@@ -4,12 +4,10 @@ import numpy as np
 import pytest
 
 from conftest import make_identity_basis, truncated_pod_basis
-from poromor.fom import evaluate_goal, run_dual_fom, run_primal_fom
 from poromor.pod import PodBasis
-from poromor.problems import build_problem, mandel_spec
-from poromor.rom import (DegenerateBasisError, ReducedTrajectory, _propagator,
-                         _sweep, lift, project_operators, reduced_goal,
-                         solve_dual_rom, solve_primal_rom)
+from poromor.rom import (DegenerateBasisError, _propagator, _sweep, lift,
+                         project_operators, reduced_goal, solve_dual_rom,
+                         solve_primal_rom)
 
 
 def identity_bases(ops):
