@@ -15,6 +15,7 @@ __all__ = [
     "build_structured_mesh",
     "tag_boundaries",
     "build_taylor_hood_space",
+    "nested_dissection",
 ]
 
 
@@ -225,6 +226,43 @@ def build_taylor_hood_space(mesh: StructuredMesh) -> TaylorHoodSpace:
     p_map = (cell_idx + p_local) @ np.cumprod([1] + p_grid[:-1])
 
     return TaylorHoodSpace(mesh, u_map, p_map, u_coords, p_coords)
+
+
+# boxes of at most this many dofs are not cut further
+ND_LEAF_SIZE = 32
+
+
+def nested_dissection(space: TaylorHoodSpace) -> np.ndarray:
+    """Nested-dissection ordering of the monolithic (u, then p) dofs.
+
+    Recursive coordinate bisection on element planes (George 1973, "Nested
+    dissection of a regular finite element mesh"): each box of dofs is cut
+    at the element plane nearest its median along its longest axis, the
+    two halves are ordered first and the plane's dofs last.  No element
+    crosses a plane of element boundaries, so each plane separates the
+    halves exactly in any matrix assembled on the space.  Boxes of at most
+    ND_LEAF_SIZE dofs, or that no plane cuts, keep their natural order.
+    Returns ``perm`` with dof ``perm[i]`` in position ``i``.
+    """
+    h = space.mesh.cell_size
+    # every node on the half-cell grid, in integer units: planes are even
+    nodes = np.vstack((np.repeat(space.u_node_coords, space.dim, axis=0),
+                       space.p_node_coords))
+    grid = np.rint(2.0 * (nodes - space.mesh.origin) / h).astype(np.int64)
+
+    def dissect(box: np.ndarray) -> list[np.ndarray]:
+        coords = grid[box]
+        lo, hi = coords.min(axis=0), coords.max(axis=0)
+        axis = int(np.argmax((hi - lo) * h))
+        # the even coordinates strictly inside the box along that axis
+        first, last = lo[axis] + 2 - lo[axis] % 2, hi[axis] - 2 + hi[axis] % 2
+        if box.size <= ND_LEAF_SIZE or first > last:
+            return [box]
+        plane = np.clip(2 * np.rint(np.median(coords[:, axis]) / 2), first, last)
+        side = coords[:, axis] - plane
+        return dissect(box[side < 0]) + dissect(box[side > 0]) + [box[side == 0]]
+
+    return np.concatenate(dissect(np.arange(grid.shape[0])))
 
 
 def _grid_coords(origin, spacing, grid_shape) -> np.ndarray:

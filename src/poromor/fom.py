@@ -18,6 +18,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .assembly import BlockOperators
+from .discretization import nested_dissection
 from .linsolve import (Factorization, LinearSolverConfig, SolverMethod,
                        _one_blas_thread, gmres_solve, incomplete_factorization,
                        jacobi_scaled)
@@ -85,12 +86,14 @@ class StepSystem:
     Dual step:    S^T [z_u; z_p] = [D^T z_p_next; M z_p_next + k g]
 
     Both methods factor the Jacobi-scaled matrix D S D once: exactly for
-    the direct method, incompletely to precondition GMRES.  Dual solves use
-    the same factor transposed.  GMRES also keeps one recycled Krylov
-    space per direction, of S for primal and S^T for dual steps, which
-    each solve reads and updates.  Every solve starts from the state it
-    steps from: GMRES iterates from it, and a direct solve adds one
-    LU-solved increment to it.
+    the direct method, in nested-dissection order on 3D meshes
+    (:func:`~poromor.discretization.nested_dissection`) and in SuperLU's
+    minimum-degree order on 2D ones, and incompletely to precondition
+    GMRES.  Dual solves use the same factor transposed.  GMRES also keeps
+    one recycled Krylov space per direction, of S for primal and S^T for
+    dual steps, which each solve reads and updates.  Every solve starts
+    from the state it steps from: GMRES iterates from it, and a direct
+    solve adds one LU-solved increment to it.
     """
 
     def __init__(self, ops: BlockOperators, k: float,
@@ -103,26 +106,49 @@ class StepSystem:
 
         self._kK = self.k * ops.K_pp
         self._kg = self.k * ops.g_goal
-        A, C, flow = ops.A_uu, ops.C_up, ops.M_pp + self._kK
-        self.matrix = sp.bmat([[A, C], [ops.D_pu, flow]], format="csr")
-        dual = sp.bmat([[A, ops.D_pu.T], [C.T, flow.T]], format="csr")
-        defect = abs(dual - self.matrix.T).max() if dual.nnz else 0.0
+        # dual_matrix - matrix^T is A_uu^T - A_uu in the (u, u) block and
+        # exactly zero in the three others, which are built as transposes
+        A = ops.A_uu
+        defect = abs(A - A.T).max() if A.nnz else 0.0
         if defect > 1e-12:
             raise AssertionError(
                 f"dual step matrix deviates from the primal transpose by {defect:.3e}")
-        self.dual_matrix = dual
 
-        self._scale, scaled = jacobi_scaled(self.matrix)
         self._lu: Factorization | None = None
         self._ilu = None  # SuperLU's incomplete factor, for GMRES
         # gmres_solve's recycled (C, U) pairs of S and of S^T
         self._recycled = ([], [])
         if self.solver.method is SolverMethod.DIRECT:
-            self._lu = Factorization(scaled)
+            # S is built for the scaling only; the solves never read it
+            self._scale, scaled = jacobi_scaled(self._step_matrix())
+            perm = nested_dissection(ops.space) if ops.space.dim == 3 else None
+            start = time.perf_counter()
+            self._lu = factor = Factorization(scaled, perm)
         else:
-            self._ilu = incomplete_factorization(scaled)
+            self._scale, scaled = jacobi_scaled(self.matrix)
+            start = time.perf_counter()
+            self._ilu = factor = incomplete_factorization(scaled)
+        # the factor's build time and SuperLU's count of its L + U nonzeros
+        self.factor_time = time.perf_counter() - start
+        self.factor_nnz = int(factor.nnz)
         self.solve_count = 0
         self.iteration_counts: list[int] = []
+
+    def _step_matrix(self) -> sp.csr_matrix:
+        ops = self.ops
+        return sp.bmat([[ops.A_uu, ops.C_up], [ops.D_pu, ops.M_pp + self._kK]],
+                       format="csr")
+
+    # the step matrix S and its transpose, built on first use: the GMRES
+    # solves read them, the direct solves never do
+    matrix = functools.cached_property(_step_matrix)
+
+    @functools.cached_property
+    def dual_matrix(self) -> sp.csr_matrix:
+        ops = self.ops
+        flow = ops.M_pp + self._kK
+        return sp.bmat([[ops.A_uu, ops.D_pu.T], [ops.C_up.T, flow.T]],
+                       format="csr")
 
     def primal_rhs(self, u_prev: np.ndarray, p_prev: np.ndarray) -> np.ndarray:
         ops = self.ops
@@ -227,7 +253,8 @@ def run_dual_fom(ops: BlockOperators, grid: TimeGrid,
 
 
 def _stats(system: StepSystem) -> dict:
-    stats = {"solves": system.solve_count}
+    stats = {"solves": system.solve_count, "factor_nnz": system.factor_nnz,
+             "factor_s": system.factor_time}
     if system.iteration_counts:
         stats["gmres_iterations"] = list(system.iteration_counts)
         stats["gmres_mean_iterations"] = float(np.mean(system.iteration_counts))

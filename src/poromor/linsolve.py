@@ -156,25 +156,51 @@ class LinearSolverConfig:
 
 
 class Factorization:
-    """Reusable sparse LU handle with forward and transpose solves."""
+    """Reusable sparse LU handle with forward and transpose solves.
 
-    def __init__(self, matrix: sp.spmatrix):
+    Without ``perm`` SuperLU orders the matrix S itself.  With ``perm`` it
+    factors P S P^T, (P S P^T)[i, j] = S[perm[i], perm[j]], in that order,
+    and every solve permutes its right-hand side and result to match.
+    """
+
+    def __init__(self, matrix: sp.spmatrix, perm: np.ndarray | None = None):
         if matrix.shape[0] != matrix.shape[1]:
             raise ValueError("matrix must be square")
         # the step matrices have symmetric structure (the Dirichlet
-        # elimination is symmetric), so order A + A^T by minimum degree and
-        # factor in symmetric mode, keeping partial pivoting.  On the Mandel
-        # 80x16 step matrix the L + U fill drops from 2.38M (COLAMD) to
-        # 1.35M and a solve takes half the time.
+        # elimination is symmetric), so SuperLU factors in symmetric mode,
+        # keeping partial pivoting.  On its own it orders A + A^T by
+        # minimum degree: on the Mandel 80x16 step matrix the L + U fill
+        # drops from 2.38M (COLAMD) to 1.35M and a solve takes half the time
+        matrix = sp.csc_matrix(matrix)
+        self._perm = perm
+        permc_spec = "MMD_AT_PLUS_A"
+        if perm is not None:
+            # one copy: the columns in order, then their rows relabelled
+            matrix = matrix[:, perm]
+            inverse = np.empty(perm.size, dtype=matrix.indices.dtype)
+            inverse[perm] = np.arange(perm.size)
+            matrix.indices = inverse[matrix.indices]
+            matrix.has_sorted_indices = False
+            matrix.sort_indices()
+            permc_spec = "NATURAL"
         try:
-            self._lu = spla.splu(sp.csc_matrix(matrix),
-                                 permc_spec="MMD_AT_PLUS_A",
+            self._lu = spla.splu(matrix, permc_spec=permc_spec,
                                  options=dict(SymmetricMode=True))
         except _FACTOR_FAILURES as exc:
             raise FactorizationError(str(exc) or "out of memory") from exc
 
+    @property
+    def nnz(self) -> int:
+        """SuperLU's count of the nonzeros of L + U."""
+        return self._lu.nnz
+
     def solve(self, rhs: np.ndarray, transpose: bool = False) -> np.ndarray:
-        return self._lu.solve(rhs, trans="T" if transpose else "N")
+        trans = "T" if transpose else "N"
+        if self._perm is None:
+            return self._lu.solve(rhs, trans=trans)
+        x = np.empty_like(rhs, dtype=float)
+        x[self._perm] = self._lu.solve(rhs[self._perm], trans=trans)
+        return x
 
 
 def jacobi_scaled(matrix: sp.spmatrix) -> tuple[np.ndarray, sp.csc_matrix]:

@@ -105,7 +105,8 @@ def mandel_spec(cells=(80, 16), steps=5000, t_end=5.0e6) -> ProblemSpec:
 
 
 def footing_spec(cells=(16, 16, 16), steps=5000, t_end=5.0e6) -> ProblemSpec:
-    """3D footing benchmark; iterative solver by default (large systems)."""
+    """3D footing benchmark; the direct solver, in nested-dissection order,
+    by default."""
     return ProblemSpec(
         kind=ProblemKind.FOOTING,
         origin=(-32.0, -32.0, 0.0),
@@ -120,7 +121,7 @@ def footing_spec(cells=(16, 16, 16), steps=5000, t_end=5.0e6) -> ProblemSpec:
         neumann_tags=(BoundaryTag.TOP, BoundaryTag.COMPRESSION, BoundaryTag.WALL),
         # perfbench/workloads.make_spec passes no solver.method, so the
         # benchmark's footing workload takes its solver from this default
-        solver=LinearSolverConfig(method=SolverMethod.GMRES),
+        solver=LinearSolverConfig(method=SolverMethod.DIRECT),
         moredwr=MoreDwrConfig(extra_dual_iterations=8, min_iterations=8),
     )
 

@@ -39,7 +39,7 @@ def test_mandel_defaults_reproduce_reference_setup():
 def test_footing_defaults():
     spec = parse_config(None, {"problem": "footing"})
     assert spec.cells_per_axis == (16, 16, 16)
-    assert spec.solver.method is SolverMethod.GMRES
+    assert spec.solver.method is SolverMethod.DIRECT
     assert linsolve.GMRES_TOLERANCE == pytest.approx(1.0e-8)
     assert spec.moredwr.extra_dual_iterations == 8
     assert spec.goal_tag is BoundaryTag.COMPRESSION

@@ -5,7 +5,10 @@ from hypothesis import strategies as st
 
 from poromor.discretization import (BoundaryTag, ProblemKind,
                                     build_structured_mesh,
-                                    build_taylor_hood_space, tag_boundaries)
+                                    build_taylor_hood_space, nested_dissection,
+                                    tag_boundaries)
+from poromor.fom import StepSystem
+from poromor.problems import build_problem, footing_spec
 
 
 def test_single_cell_mesh():
@@ -174,3 +177,30 @@ def test_mesh_invariants_random(nx, ny, w, h):
     assert all(t is not None for t in mesh.boundary_facets.values())
     total = sum(mesh.facet_area(f) for _, f in mesh.boundary_facets)
     assert total == pytest.approx(2 * (w + h))
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_nested_dissection_top_cut_separates(n):
+    ops, grid = build_problem(footing_spec(cells=(n,) * 3, steps=2))
+    space = ops.space
+    perm = nested_dissection(space)
+    size = ops.n_u + ops.n_p
+    assert np.array_equal(np.sort(perm), np.arange(size))
+    position = np.empty(size, dtype=int)
+    position[perm] = np.arange(size)
+
+    # the top-level separator, ordered last, is the whole element plane
+    # x = c through the last dof; the two halves it cuts come before it
+    coords = np.vstack((np.repeat(space.u_node_coords, 3, axis=0),
+                        space.p_node_coords))
+    c = coords[perm[-1], 0]
+    cells = (c - space.mesh.origin[0]) / space.mesh.cell_size[0]
+    assert cells == round(cells) and 0 < cells < n
+    on_plane = coords[:, 0] == c
+    assert np.array_equal(np.sort(perm[-on_plane.sum():]),
+                          np.flatnonzero(on_plane))
+    low, high = coords[:, 0] < c, coords[:, 0] > c
+    assert position[low].max() < position[high].min()
+
+    S = StepSystem(ops, grid.k).matrix
+    assert S[low][:, high].nnz == 0 and S[high][:, low].nnz == 0

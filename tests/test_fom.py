@@ -7,7 +7,7 @@ import scipy.sparse.linalg as spla
 
 from poromor.fom import (StepSystem, TimeGrid, evaluate_goal, run_dual_fom,
                          run_primal_fom, Trajectory)
-from poromor.linsolve import Factorization
+from poromor.linsolve import Factorization, LinearSolverConfig, SolverMethod
 from poromor.problems import build_problem, footing_spec, mandel_spec
 
 
@@ -66,8 +66,6 @@ def test_direct_runs_bitwise_reproducible(mandel_small):
 
 def test_dual_matrix_is_exact_transpose(mandel_small, footing_tiny):
     for _, ops, grid in (mandel_small, footing_tiny):
-        from poromor.linsolve import LinearSolverConfig, SolverMethod
-
         system = StepSystem(ops, grid.k,
                             LinearSolverConfig(method=SolverMethod.GMRES))
         diff = system.dual_matrix - system.matrix.T
@@ -234,8 +232,9 @@ def test_store_states_false_keeps_goal_series(mandel_small):
 
 
 def test_footing_gmres_step(footing_tiny):
-    spec, ops, grid = footing_tiny
-    traj = run_primal_fom(ops, grid, solver=spec.solver)
+    _, ops, grid = footing_tiny
+    traj = run_primal_fom(ops, grid,
+                          solver=LinearSolverConfig(method=SolverMethod.GMRES))
     assert traj.solve_stats["solves"] == grid.num_elements
     assert "gmres_mean_iterations" in traj.solve_stats
     # pressure responds to the compression load; 2^3 mesh has no
