@@ -21,7 +21,7 @@ from .assembly import BlockOperators
 from .discretization import nested_dissection
 from .linsolve import (Factorization, LinearSolverConfig, SolverMethod,
                        _one_blas_thread, gmres_solve, incomplete_factorization,
-                       jacobi_scaled)
+                       jacobi_scaled, symmetric_permutation)
 
 __all__ = [
     "TimeGrid",
@@ -119,18 +119,17 @@ class StepSystem:
         # gmres_solve's recycled (C, U) pairs of S and of S^T
         self._recycled = ([], [])
         if self.solver.method is SolverMethod.DIRECT:
-            # S is built for the scaling only; the solves never read it
+            # S is built for the scaling only; the solves never read it.  In
+            # 3D the scaled copy is replaced by its permutation, so SuperLU
+            # factors beside one copy
             self._scale, scaled = jacobi_scaled(self._step_matrix())
             perm = nested_dissection(ops.space) if ops.space.dim == 3 else None
-            start = time.perf_counter()
-            self._lu = factor = Factorization(scaled, perm)
+            if perm is not None:
+                scaled = symmetric_permutation(scaled, perm)
+            self._lu = Factorization(scaled, perm)
         else:
             self._scale, scaled = jacobi_scaled(self.matrix)
-            start = time.perf_counter()
-            self._ilu = factor = incomplete_factorization(scaled)
-        # the factor's build time and SuperLU's count of its L + U nonzeros
-        self.factor_time = time.perf_counter() - start
-        self.factor_nnz = int(factor.nnz)
+            self._ilu = incomplete_factorization(scaled)
         self.solve_count = 0
         self.iteration_counts: list[int] = []
 
@@ -253,8 +252,7 @@ def run_dual_fom(ops: BlockOperators, grid: TimeGrid,
 
 
 def _stats(system: StepSystem) -> dict:
-    stats = {"solves": system.solve_count, "factor_nnz": system.factor_nnz,
-             "factor_s": system.factor_time}
+    stats = {"solves": system.solve_count}
     if system.iteration_counts:
         stats["gmres_iterations"] = list(system.iteration_counts)
         stats["gmres_mean_iterations"] = float(np.mean(system.iteration_counts))

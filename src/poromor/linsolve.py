@@ -36,6 +36,7 @@ __all__ = [
     "Factorization",
     "incomplete_factorization",
     "jacobi_scaled",
+    "symmetric_permutation",
     "gmres_solve",
     "GMRES_TOLERANCE",
     "GMRES_RESTART",
@@ -158,9 +159,11 @@ class LinearSolverConfig:
 class Factorization:
     """Reusable sparse LU handle with forward and transpose solves.
 
-    Without ``perm`` SuperLU orders the matrix S itself.  With ``perm`` it
-    factors P S P^T, (P S P^T)[i, j] = S[perm[i], perm[j]], in that order,
-    and every solve permutes its right-hand side and result to match.
+    Without ``perm`` SuperLU orders the matrix S itself.  With ``perm`` the
+    matrix given is already P S P^T (:func:`symmetric_permutation`), so
+    the caller need keep no unpermuted copy alive while SuperLU factors it
+    in that order, and every solve permutes its right-hand side and result
+    so that it solves with S.
     """
 
     def __init__(self, matrix: sp.spmatrix, perm: np.ndarray | None = None):
@@ -175,24 +178,12 @@ class Factorization:
         self._perm = perm
         permc_spec = "MMD_AT_PLUS_A"
         if perm is not None:
-            # one copy: the columns in order, then their rows relabelled
-            matrix = matrix[:, perm]
-            inverse = np.empty(perm.size, dtype=matrix.indices.dtype)
-            inverse[perm] = np.arange(perm.size)
-            matrix.indices = inverse[matrix.indices]
-            matrix.has_sorted_indices = False
-            matrix.sort_indices()
             permc_spec = "NATURAL"
         try:
             self._lu = spla.splu(matrix, permc_spec=permc_spec,
                                  options=dict(SymmetricMode=True))
         except _FACTOR_FAILURES as exc:
             raise FactorizationError(str(exc) or "out of memory") from exc
-
-    @property
-    def nnz(self) -> int:
-        """SuperLU's count of the nonzeros of L + U."""
-        return self._lu.nnz
 
     def solve(self, rhs: np.ndarray, transpose: bool = False) -> np.ndarray:
         trans = "T" if transpose else "N"
@@ -224,6 +215,18 @@ def jacobi_scaled(matrix: sp.spmatrix) -> tuple[np.ndarray, sp.csc_matrix]:
     scaled.data *= d[scaled.indices]
     scaled.data *= np.repeat(d, np.diff(scaled.indptr))
     return d, scaled
+
+
+def symmetric_permutation(matrix: sp.spmatrix, perm: np.ndarray) -> sp.csc_matrix:
+    """P A P^T in CSC, (P A P^T)[i, j] = A[perm[i], perm[j]], as one copy:
+    the columns in order, then their rows relabelled."""
+    permuted = sp.csc_matrix(matrix)[:, perm]
+    inverse = np.empty(perm.size, dtype=permuted.indices.dtype)
+    inverse[perm] = np.arange(perm.size)
+    permuted.indices = inverse[permuted.indices]
+    permuted.has_sorted_indices = False
+    permuted.sort_indices()
+    return permuted
 
 
 def incomplete_factorization(matrix: sp.spmatrix):
