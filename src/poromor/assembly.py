@@ -176,14 +176,21 @@ def _boundary_faces(space: TaylorHoodSpace, tags):
 
     Yields ``(local_face, cells, w, Vu, Vp)`` per local face that has such
     facets: the owning cells, the facet weights scaled to the physical
-    facet, and the Q2 and Q1 value tables at the facet points.
+    facet, and the Q2 and Q1 value tables at the facet points.  Raises
+    ``ValueError`` for a tag the mesh's tagging does not know.
     """
     mesh = space.mesh
     dim = space.dim
+    for tag in tags:
+        if tag not in mesh.boundary:
+            raise ValueError(f"tag {tag} not known on this mesh "
+                             f"(valid: {sorted(t.value for t in mesh.boundary)})")
+    no_cells = np.empty(0, dtype=int)
     for local_face in range(2 * dim):
-        cells = [c for (c, f), t in mesh.boundary_facets.items()
-                 if f == local_face and t in tags]
-        if not cells:
+        # ascending over the merged tags: the COO sums depend on this order
+        cells = np.sort(np.concatenate(
+            [mesh.boundary[t].get(local_face, no_cells) for t in tags]))
+        if not cells.size:
             continue
         points, weights = _facet_rule(dim, local_face)
         w = weights * (mesh.facet_area(local_face) / 2 ** (dim - 1))
@@ -241,9 +248,6 @@ def assemble_coupling(space: TaylorHoodSpace, alpha: float,
     term +alpha <p n, v> on the listed traction boundaries; ``D_pu`` is the
     pure volume divergence coupling alpha (div u, q).
     """
-    for tag in neumann_tags:
-        _require_tag(space.mesh, tag)
-
     # alpha (div u, q): rows Q1 test, columns Q2 vector trial
     w, (_, Gu), (Vp, _) = _volume_tables(space)
     d4 = alpha * np.einsum("q,qb,qai->bai", w, Vp, Gu)
@@ -277,7 +281,6 @@ def assemble_traction(space: TaylorHoodSpace, tag: BoundaryTag, t_bar: float,
                       direction: np.ndarray) -> np.ndarray:
     """Load vector of the traction condition sigma(u) . n = -t_bar * direction."""
     direction = np.asarray(direction, dtype=float)
-    _require_tag(space.mesh, tag)
     f = np.zeros(space.n_u)
     for _, cells, w, Vu, _ in _boundary_faces(space, (tag,)):
         load = np.einsum("q,qa,i->ai", w, Vu, -t_bar * direction).reshape(-1)
@@ -288,7 +291,6 @@ def assemble_traction(space: TaylorHoodSpace, tag: BoundaryTag, t_bar: float,
 
 def assemble_goal_vector(space: TaylorHoodSpace, tag: BoundaryTag) -> np.ndarray:
     """Vector g with g . p = boundary integral of the pressure over ``tag``."""
-    _require_tag(space.mesh, tag)
     g = np.zeros(space.n_p)
     for _, cells, w, _, Vp in _boundary_faces(space, (tag,)):
         load = np.einsum("q,qa->a", w, Vp)
@@ -297,35 +299,27 @@ def assemble_goal_vector(space: TaylorHoodSpace, tag: BoundaryTag) -> np.ndarray
     return g
 
 
-def _require_tag(mesh, tag) -> None:
-    if tag not in mesh.valid_tags:
-        raise ValueError(f"tag {tag} not known on this mesh "
-                         f"(valid: {sorted(t.value for t in mesh.valid_tags)})")
-
-
 # ----------------------------------------------------------------------------
 # Dirichlet constraints
 # ----------------------------------------------------------------------------
 
+# per benchmark: the (tag, displacement component) pairs held at u_i = 0,
+# and the tags held at p = 0
+_DIRICHLET = {
+    ProblemKind.MANDEL: (((BoundaryTag.LEFT, 0), (BoundaryTag.BOTTOM, 1)),
+                         (BoundaryTag.RIGHT,)),
+    ProblemKind.FOOTING: (tuple((BoundaryTag.BOTTOM, c) for c in range(3)),
+                          (BoundaryTag.BOTTOM,)),
+}
+
+
 def dirichlet_dofs(space: TaylorHoodSpace, problem_kind: ProblemKind):
-    """Constrained (u, p) dof index arrays for the benchmark boundary data."""
-    mesh = space.mesh
-    lo = mesh.origin
-    hi = mesh.origin + mesh.extent
-    if problem_kind is ProblemKind.MANDEL:
-        u_dofs = np.concatenate([
-            space.u_dofs_on_plane(0, lo[0], component=0),   # u_x = 0 on Left
-            space.u_dofs_on_plane(1, lo[1], component=1),   # u_y = 0 on Bottom
-        ])
-        p_dofs = space.p_dofs_on_plane(0, hi[0])            # p = 0 on Right
-    elif problem_kind is ProblemKind.FOOTING:
-        u_dofs = np.concatenate([
-            space.u_dofs_on_plane(2, lo[2], component=c) for c in range(3)
-        ])                                                  # u = 0 on Bottom
-        p_dofs = space.p_dofs_on_plane(2, lo[2])            # p = 0 on Bottom
-    else:
-        raise ValueError(f"unknown problem kind {problem_kind}")
-    return np.unique(u_dofs), np.unique(p_dofs)
+    """Constrained (u, p) dof index arrays: the nodes on the tagged facets
+    of the benchmark's Dirichlet boundaries."""
+    u_fixed, p_fixed = _DIRICHLET[problem_kind]
+    u_dofs = [space.boundary_nodes(tag, 2) * space.dim + c for tag, c in u_fixed]
+    p_dofs = [space.boundary_nodes(tag, 1) for tag in p_fixed]
+    return np.unique(np.concatenate(u_dofs)), np.unique(np.concatenate(p_dofs))
 
 
 def _eliminate(mat: sp.csr_matrix, rows: np.ndarray, cols: np.ndarray,

@@ -116,13 +116,16 @@ def cmd_moredwr(args) -> int:
     spec = _spec_from_args(args)
     reference = None
     if args.reference:
-        from .problems import ConfigError
-
+        # main reports a ValueError as a configuration error (exit 2)
         reference = reports.load_reference(args.reference)
         if reference["fingerprint"] != spec.fingerprint:
-            raise ConfigError(
+            raise ValueError(
                 f"reference bundle {args.reference} was produced for "
                 f"{reference['fingerprint']!r}, expected {spec.fingerprint!r}")
+        if len(reference["goal_series"]) != spec.num_steps:
+            raise ValueError(f"reference bundle {args.reference} holds "
+                             f"{len(reference['goal_series'])} goal values, "
+                             f"expected {spec.num_steps}")
 
     ops, grid = build_problem(spec)
     result = run_moredwr(ops, grid, spec.moredwr, solver=spec.solver,
@@ -154,8 +157,7 @@ def cmd_moredwr(args) -> int:
 def cmd_compare(args) -> int:
     from . import reports
 
-    rows = reports.comparison_table(
-        [reports.read_summary(d) for d in args.bundles])
+    rows = reports.comparison_table(args.bundles)
     print(reports.format_comparison(rows))
     if args.out:
         path = reports.write_comparison(args.out, rows)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
@@ -39,17 +39,16 @@ class StructuredMesh:
 
     Facets are addressed by ``(cell_id, local_face)`` where
     ``local_face = 2 * axis + side`` (side 0: low coordinate, side 1: high).
-    ``boundary_facets`` maps every exterior facet to its tag (``None`` until
-    :func:`tag_boundaries` has run).
+    ``boundary`` maps each tag to ``{local_face: ascending cell ids}`` of
+    the exterior facets it owns (empty until :func:`tag_boundaries` has
+    run); a tag can own zero facets (Compression on a grid coarser than
+    the patch).
     """
 
     origin: np.ndarray
     extent: np.ndarray
     cells_per_axis: tuple[int, ...]
-    boundary_facets: dict[tuple[int, int], BoundaryTag | None]
-    # tags the applied tagging scheme may assign; a valid tag can still own
-    # zero facets (e.g. Compression on a grid coarser than the patch)
-    valid_tags: frozenset = frozenset()
+    boundary: dict[BoundaryTag, dict[int, np.ndarray]] = field(default_factory=dict)
 
     @property
     def spatial_dim(self) -> int:
@@ -65,18 +64,12 @@ class StructuredMesh:
         return self.extent / np.asarray(self.cells_per_axis, dtype=float)
 
     def facet_area(self, local_face: int) -> float:
-        axis = local_face // 2
-        h = self.cell_size
-        return float(np.prod(np.delete(h, axis)))
+        return float(np.prod(np.delete(self.cell_size, local_face // 2)))
 
     def facet_normal(self, local_face: int) -> np.ndarray:
-        axis, side = divmod(local_face, 2)
         n = np.zeros(self.spatial_dim)
-        n[axis] = -1.0 if side == 0 else 1.0
+        n[local_face // 2] = 1.0 if local_face % 2 else -1.0
         return n
-
-    def facets_with_tag(self, tag: BoundaryTag) -> list[tuple[int, int]]:
-        return [f for f, t in self.boundary_facets.items() if t is tag]
 
 
 def build_structured_mesh(origin, extent, cells_per_axis) -> StructuredMesh:
@@ -97,19 +90,7 @@ def build_structured_mesh(origin, extent, cells_per_axis) -> StructuredMesh:
         raise ValueError(f"extents must be positive, got {extent}")
     if any(n < 1 for n in cells):
         raise ValueError(f"cell counts must be >= 1, got {cells}")
-
-    cell_idx = _lex_indices(cells)
-    cid = np.arange(cell_idx.shape[0])
-
-    boundary: dict[tuple[int, int], BoundaryTag | None] = {}
-    for ax in range(dim):
-        for side in (0, 1):
-            layer = cells[ax] - 1 if side == 1 else 0
-            on_face = cid[cell_idx[:, ax] == layer]
-            for c in on_face:
-                boundary[(int(c), 2 * ax + side)] = None
-
-    return StructuredMesh(origin, extent, cells, boundary)
+    return StructuredMesh(origin, extent, cells)
 
 
 # the tag of each local face ``2 * axis + side``
@@ -131,26 +112,27 @@ def tag_boundaries(mesh: StructuredMesh, problem_kind: ProblemKind) -> Structure
     Exact patch coverage needs the lateral cell counts divisible by 4; on
     coarser grids facets straddling the patch edge stay Top.
     """
-    dim = mesh.spatial_dim
-    if problem_kind is ProblemKind.MANDEL and dim != 2:
-        raise ValueError(f"Mandel meshes are 2D, got dimension {dim}")
-    if problem_kind is ProblemKind.FOOTING and dim != 3:
-        raise ValueError(f"footing meshes are 3D, got dimension {dim}")
-
     face_tags = _FACE_TAGS[problem_kind]
-    valid = frozenset(face_tags)
-    tagged = {facet: face_tags[facet[1]] for facet in mesh.boundary_facets}
+    if len(face_tags) != 2 * mesh.spatial_dim:
+        raise ValueError(f"{problem_kind.value} meshes have dimension "
+                         f"{len(face_tags) // 2}, got {mesh.spatial_dim}")
+
+    cell_idx = _lex_indices(mesh.cells_per_axis)
+    boundary: dict = {}
+    for face, tag in enumerate(face_tags):
+        axis, side = divmod(face, 2)
+        layer = (mesh.cells_per_axis[axis] - 1) * side
+        boundary.setdefault(tag, {})[face] = np.flatnonzero(cell_idx[:, axis] == layer)
     if problem_kind is ProblemKind.FOOTING:
-        valid |= {BoundaryTag.COMPRESSION}
         # patch test on the x and y of the top facets' centroids
-        top = np.array([cell for cell, face in tagged if face == 5], dtype=int)
+        top = boundary[BoundaryTag.TOP][5]
         h = mesh.cell_size
-        lo = mesh.origin + _lex_indices(mesh.cells_per_axis)[top] * h
+        lo = mesh.origin + cell_idx[top] * h
         offset = np.abs(lo + 0.5 * h - (mesh.origin + 0.5 * mesh.extent))
         inside = np.all(offset[:, :2] < 0.25 * mesh.extent[:2], axis=1)
-        for cell in top[inside]:
-            tagged[(int(cell), 5)] = BoundaryTag.COMPRESSION
-    return replace(mesh, boundary_facets=tagged, valid_tags=valid)
+        boundary[BoundaryTag.TOP][5] = top[~inside]
+        boundary[BoundaryTag.COMPRESSION] = {5: top[inside]}
+    return replace(mesh, boundary=boundary)
 
 
 @dataclass(frozen=True)
@@ -195,15 +177,13 @@ class TaylorHoodSpace:
             dofs[:, comp::d] = nodes * d + comp
         return dofs
 
-    def u_dofs_on_plane(self, axis: int, value: float, component: int) -> np.ndarray:
-        """Displacement dofs of one component on the plane coord[axis] == value."""
-        tol = 1e-9 * max(1.0, float(np.max(np.abs(self.mesh.extent))))
-        nodes = np.flatnonzero(np.abs(self.u_node_coords[:, axis] - value) <= tol)
-        return nodes * self.dim + component
-
-    def p_dofs_on_plane(self, axis: int, value: float) -> np.ndarray:
-        tol = 1e-9 * max(1.0, float(np.max(np.abs(self.mesh.extent))))
-        return np.flatnonzero(np.abs(self.p_node_coords[:, axis] - value) <= tol)
+    def boundary_nodes(self, tag: BoundaryTag, degree: int) -> np.ndarray:
+        """Ascending ids of the Q``degree`` nodes on the facets tagged ``tag``."""
+        node_map = self.u_node_map if degree == 2 else self.p_node_map
+        local = _lex_indices((degree + 1,) * self.dim)
+        return np.unique(np.concatenate([
+            node_map[cells][:, local[:, face // 2] == degree * (face % 2)].ravel()
+            for face, cells in self.mesh.boundary[tag].items()]))
 
 
 def build_taylor_hood_space(mesh: StructuredMesh) -> TaylorHoodSpace:
@@ -214,8 +194,8 @@ def build_taylor_hood_space(mesh: StructuredMesh) -> TaylorHoodSpace:
 
     u_grid = [2 * n + 1 for n in cells]
     p_grid = [n + 1 for n in cells]
-    u_coords = _grid_coords(mesh.origin, h / 2.0, u_grid)
-    p_coords = _grid_coords(mesh.origin, h, p_grid)
+    u_coords = mesh.origin + _lex_indices(u_grid) * (h / 2.0)
+    p_coords = mesh.origin + _lex_indices(p_grid) * h
 
     # cell multi-index (scaled to the node grid) plus local node offset,
     # dotted with the node grid's strides; local nodes are numbered x fastest
@@ -263,10 +243,6 @@ def nested_dissection(space: TaylorHoodSpace) -> np.ndarray:
         return dissect(box[side < 0]) + dissect(box[side > 0]) + [box[side == 0]]
 
     return np.concatenate(dissect(np.arange(grid.shape[0])))
-
-
-def _grid_coords(origin, spacing, grid_shape) -> np.ndarray:
-    return origin + _lex_indices(grid_shape) * spacing
 
 
 def _lex_indices(shape) -> np.ndarray:

@@ -85,13 +85,22 @@ def write_summary(directory, summary: dict) -> Path:
                       [[_fmt(v) for v in summary.values()]])
 
 
-def read_summary(directory) -> dict:
+def _require_columns(path, columns, names) -> None:
+    for name in names:
+        if name not in columns:
+            raise ValueError(f"{path} lacks the column {name!r}")
+
+
+def read_summary(directory, columns=()) -> dict:
+    """The summary row of a bundle; ``ValueError`` if it lacks ``columns``."""
     path = Path(directory) / SUMMARY_CSV
     with open(path, "r", newline="", encoding="utf-8") as handle:
         rows = list(csv.reader(handle))
     if len(rows) < 2:
         raise ValueError(f"malformed summary file {path}")
-    return dict(zip(rows[0], rows[1]))
+    summary = dict(zip(rows[0], rows[1]))
+    _require_columns(path, summary, columns)
+    return summary
 
 
 def summary_from_record(record: RunRecord, fingerprint: str) -> dict:
@@ -120,12 +129,14 @@ def summary_from_record(record: RunRecord, fingerprint: str) -> dict:
 
 def load_reference(directory) -> dict:
     """Load a full-order reference bundle: goal value, series and wall time."""
-    summary = read_summary(directory)
+    summary = read_summary(directory, ("fingerprint", "J_fom", "wall_time_s"))
     if summary.get("run_kind") != "fom":
         raise ValueError(f"{directory} does not hold a full-order reference run")
-    with open(Path(directory) / GOAL_CSV, "r", newline="",
-              encoding="utf-8") as handle:
-        series = [float(row["goal_fom"]) for row in csv.DictReader(handle)]
+    path = Path(directory) / GOAL_CSV
+    with open(path, "r", newline="", encoding="utf-8") as handle:
+        reader = csv.DictReader(handle, restval="")
+        _require_columns(path, reader.fieldnames or (), ("goal_fom",))
+        series = [float(row["goal_fom"]) for row in reader]
     return {
         "fingerprint": summary["fingerprint"],
         "J_fom": float(summary["J_fom"]),
@@ -138,10 +149,12 @@ COMPARE_COLUMNS = ["tol_rel_pct", "e_rel_pct", "speedup", "fom_solves",
                    "rom_size", "I_eff", "I_ind"]
 
 
-def comparison_table(summaries: list[dict]) -> list[dict]:
-    """Align MORe-DWR summaries over tolerances (largest tolerance last)."""
-    if not summaries:
+def comparison_table(bundles) -> list[dict]:
+    """Align the MORe-DWR summaries of run bundles over tolerances (largest
+    tolerance last)."""
+    if not bundles:
         raise ValueError("need at least one summary")
+    summaries = [read_summary(d, ("tol_rel_pct",)) for d in bundles]
     fingerprints = {s.get("fingerprint") for s in summaries}
     if len(fingerprints) != 1:
         raise ValueError(

@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import math
+import shutil
 from pathlib import Path
 
 import pytest
@@ -405,9 +406,8 @@ def test_compare_rejects_mixed_problems(tmp_path):
         assert main(["moredwr", "--problem", "mandel", "--cells", cells,
                      "--steps", "20", "--tol", "0.5", "--min-iterations",
                      "0", "--out", str(out)]) == 0
-    summaries = [reports.read_summary(d) for d in (a, b)]
     with pytest.raises(ValueError):
-        reports.comparison_table(summaries)
+        reports.comparison_table([a, b])
 
 
 def test_summary_full_precision(tmp_path):
@@ -444,3 +444,75 @@ def test_cli_missing_input_exit_code(tmp_path, capsys, command, flag):
                  "--out", str(tmp_path / "x")])
     assert code == 2
     assert str(missing) in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def mandel_fom_bundle(tmp_path_factory):
+    out = tmp_path_factory.mktemp("fom") / "bundle"
+    assert main(["fom", "--cells", "4x2", "--steps", "20", "--out", str(out)]) == 0
+    return out
+
+
+def rewrite_csv(path, edit):
+    """Replace the rows of a CSV file (header included) by ``edit(rows)``."""
+    with open(path, newline="", encoding="utf-8") as handle:
+        rows = list(csv.reader(handle))
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        csv.writer(handle).writerows(edit(rows))
+
+
+def drop_column(name):
+    return lambda rows: [[v for v, h in zip(row, rows[0]) if h != name]
+                         for row in rows]
+
+
+@pytest.mark.parametrize("file, column", [
+    (reports.SUMMARY_CSV, "J_fom"), (reports.SUMMARY_CSV, "fingerprint"),
+    (reports.GOAL_CSV, "goal_fom")])
+def test_cli_reference_lacking_a_column_exit_code(tmp_path, capsys, mandel_fom_bundle,
+                                                  file, column):
+    reference = tmp_path / "reference"
+    shutil.copytree(mandel_fom_bundle, reference)
+    rewrite_csv(reference / file, drop_column(column))
+    code = main(["moredwr", "--cells", "4x2", "--steps", "20",
+                 "--reference", str(reference), "--out", str(tmp_path / "x")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert str(reference / file) in err and repr(column) in err
+
+
+@pytest.mark.parametrize("file, column", [(reports.SUMMARY_CSV, "J_fom"),
+                                          (reports.GOAL_CSV, "goal_fom")])
+def test_cli_reference_short_row_exit_code(tmp_path, mandel_fom_bundle, file, column):
+    # a data row cut just before ``column`` lacks it and the columns after it
+    reference = tmp_path / "reference"
+    shutil.copytree(mandel_fom_bundle, reference)
+    rewrite_csv(reference / file,
+                lambda rows: [rows[0], rows[1][:rows[0].index(column)], *rows[2:]])
+    assert main(["moredwr", "--cells", "4x2", "--steps", "20", "--reference",
+                 str(reference), "--out", str(tmp_path / "x")]) == 2
+
+
+def test_cli_reference_cut_goal_series_exit_code(tmp_path, capsys, mandel_fom_bundle):
+    # the header and four of the twenty rows, as `head -5` leaves them: the
+    # run is refused before it starts, and writes nothing
+    reference = tmp_path / "reference"
+    shutil.copytree(mandel_fom_bundle, reference)
+    rewrite_csv(reference / reports.GOAL_CSV, lambda rows: rows[:5])
+    out = tmp_path / "x"
+    code = main(["moredwr", "--cells", "4x2", "--steps", "20",
+                 "--reference", str(reference), "--out", str(out)])
+    assert code == 2
+    assert "holds 4 goal values, expected 20" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_compare_summary_lacking_tolerance_exit_code(tmp_path, capsys):
+    out = tmp_path / "rom"
+    assert main(["moredwr", "--cells", "4x2", "--steps", "20", "--tol", "0.5",
+                 "--min-iterations", "0", "--out", str(out)]) == 0
+    rewrite_csv(out / reports.SUMMARY_CSV, drop_column("tol_rel_pct"))
+    capsys.readouterr()
+    assert main(["compare", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert str(out / reports.SUMMARY_CSV) in err and "'tol_rel_pct'" in err

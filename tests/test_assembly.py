@@ -10,6 +10,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from poromor.assembly import (MaterialParams, assemble_coupling,
                               assemble_elasticity, assemble_goal_vector,
@@ -290,8 +292,8 @@ def test_dirichlet_counts_mandel_paper():
         ProblemKind.MANDEL)
     space = build_taylor_hood_space(mesh)
     du, dp = dirichlet_dofs(space, ProblemKind.MANDEL)
-    left_ux = space.u_dofs_on_plane(0, 0.0, 0)
-    bottom_uy = space.u_dofs_on_plane(1, 0.0, 1)
+    left_ux = space.boundary_nodes(BoundaryTag.LEFT, 2) * 2
+    bottom_uy = space.boundary_nodes(BoundaryTag.BOTTOM, 2) * 2 + 1
     assert left_ux.size == 33
     assert bottom_uy.size == 161
     assert dp.size == 17
@@ -307,6 +309,54 @@ def test_dirichlet_counts_footing():
     du, dp = dirichlet_dofs(space, ProblemKind.FOOTING)
     assert du.size == 3 * (2 * 4 + 1) ** 2
     assert dp.size == 5 * 5
+
+
+BENCHMARK_MESHES = st.one_of(
+    st.tuples(st.just(ProblemKind.MANDEL), st.tuples(*[st.integers(1, 12)] * 2)),
+    st.tuples(st.just(ProblemKind.FOOTING), st.tuples(*[st.integers(1, 6)] * 3)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=BENCHMARK_MESHES)
+def test_tagged_boundary_matches_coordinate_planes(case):
+    # the Dirichlet dofs read from the tagged facets are the nodes on the
+    # benchmark's coordinate planes, and the tags partition the box surface
+    kind, cells = case
+    spec = (mandel_spec if kind is ProblemKind.MANDEL else footing_spec)(cells=cells)
+    mesh = tag_boundaries(
+        build_structured_mesh(spec.origin, spec.extent, cells), kind)
+    space = build_taylor_hood_space(mesh)
+    lo, hi = mesh.origin, mesh.origin + mesh.extent
+
+    def on_plane(coords, axis, value):
+        tol = 1e-9 * max(1.0, float(np.max(np.abs(mesh.extent))))
+        return np.flatnonzero(np.abs(coords[:, axis] - value) <= tol)
+
+    u, p = space.u_node_coords, space.p_node_coords
+    if kind is ProblemKind.MANDEL:
+        planes_u = [on_plane(u, 0, lo[0]) * 2, on_plane(u, 1, lo[1]) * 2 + 1]
+        planes_p = on_plane(p, 0, hi[0])
+    else:
+        planes_u = [on_plane(u, 2, lo[2]) * 3 + c for c in range(3)]
+        planes_p = on_plane(p, 2, lo[2])
+    du, dp = dirichlet_dofs(space, kind)
+    assert np.array_equal(du, np.unique(np.concatenate(planes_u)))
+    assert np.array_equal(dp, planes_p)
+
+    idx = np.array(np.unravel_index(np.arange(mesh.n_cells), cells, order="F")).T
+    exterior = {(c, 2 * ax + side) for c in range(mesh.n_cells)
+                for ax, n in enumerate(cells) for side in (0, 1)
+                if idx[c, ax] == (n - 1) * side}
+    listed = [(int(c), face) for faces in mesh.boundary.values()
+              for face, ids in faces.items() for c in ids]
+    assert len(listed) == len(set(listed))
+    assert set(listed) == exterior
+    for faces in mesh.boundary.values():
+        assert all(np.all(np.diff(ids) > 0) for ids in faces.values())
+    if kind is ProblemKind.FOOTING:
+        top = np.concatenate([mesh.boundary[BoundaryTag.TOP][5],
+                              mesh.boundary[BoundaryTag.COMPRESSION][5]])
+        assert np.array_equal(np.sort(top), np.flatnonzero(idx[:, 2] == cells[2] - 1))
 
 
 def test_constrained_elasticity_definite(mandel_small):

@@ -11,11 +11,19 @@ from poromor.fom import StepSystem
 from poromor.problems import build_problem, footing_spec
 
 
+def facets(mesh, *tags):
+    """(cell, local_face) of the boundary facets under ``tags`` (every tag
+    if none is given), listed once per tag that owns the facet."""
+    return [(int(c), face) for tag in (tags or mesh.boundary)
+            for face, cells in mesh.boundary.get(tag, {}).items() for c in cells]
+
+
 def test_single_cell_mesh():
-    mesh = build_structured_mesh((0.0, 0.0), (1.0, 1.0), (1, 1))
+    mesh = tag_boundaries(build_structured_mesh((0.0, 0.0), (1.0, 1.0), (1, 1)),
+                          ProblemKind.MANDEL)
     assert build_taylor_hood_space(mesh).n_p == 4
     assert mesh.n_cells == 1
-    assert len(mesh.boundary_facets) == 4
+    assert len(facets(mesh)) == 4
 
 
 def test_mandel_vertex_count():
@@ -54,7 +62,7 @@ def test_vertices_inside_box():
 def test_mandel_tags_single_cell():
     mesh = tag_boundaries(build_structured_mesh((0, 0), (1.0, 1.0), (1, 1)),
                           ProblemKind.MANDEL)
-    counts = {tag: len(mesh.facets_with_tag(tag)) for tag in BoundaryTag}
+    counts = {tag: len(facets(mesh, tag)) for tag in BoundaryTag}
     assert counts[BoundaryTag.LEFT] == 1
     assert counts[BoundaryTag.RIGHT] == 1
     assert counts[BoundaryTag.TOP] == 1
@@ -66,9 +74,10 @@ def test_mandel_tags_80x16():
     mesh = tag_boundaries(
         build_structured_mesh((0, 0), (100.0, 20.0), (80, 16)),
         ProblemKind.MANDEL)
-    assert len(mesh.facets_with_tag(BoundaryTag.BOTTOM)) == 80
-    assert len(mesh.facets_with_tag(BoundaryTag.LEFT)) == 16
-    assert all(tag is not None for tag in mesh.boundary_facets.values())
+    assert len(facets(mesh, BoundaryTag.BOTTOM)) == 80
+    assert len(facets(mesh, BoundaryTag.LEFT)) == 16
+    # every exterior facet carries exactly one tag
+    assert len(set(facets(mesh))) == len(facets(mesh)) == 2 * (80 + 16)
 
 
 @pytest.mark.parametrize("cells", [4, 8, 16])
@@ -78,10 +87,10 @@ def test_footing_compression_area(cells):
                               (cells,) * 3),
         ProblemKind.FOOTING)
     area = sum(mesh.facet_area(f)
-               for _, f in mesh.facets_with_tag(BoundaryTag.COMPRESSION))
+               for _, f in facets(mesh, BoundaryTag.COMPRESSION))
     assert area == pytest.approx(32.0 * 32.0)
     top_area = sum(mesh.facet_area(f)
-                   for _, f in mesh.facets_with_tag(BoundaryTag.TOP))
+                   for _, f in facets(mesh, BoundaryTag.TOP))
     assert area + top_area == pytest.approx(64.0 * 64.0)
 
 
@@ -95,8 +104,10 @@ def test_tag_dimension_mismatch():
 
 
 def test_boundary_area_equals_box_surface():
-    mesh = build_structured_mesh((0.0, -1.0, 2.0), (3.0, 2.0, 5.0), (3, 4, 2))
-    total = sum(mesh.facet_area(f) for _, f in mesh.boundary_facets)
+    mesh = tag_boundaries(
+        build_structured_mesh((0.0, -1.0, 2.0), (3.0, 2.0, 5.0), (3, 4, 2)),
+        ProblemKind.FOOTING)
+    total = sum(mesh.facet_area(f) for _, f in facets(mesh))
     a, b, c = 3.0, 2.0, 5.0
     assert total == pytest.approx(2 * (a * b + b * c + a * c))
 
@@ -173,9 +184,9 @@ def test_mesh_invariants_random(nx, ny, w, h):
     mesh = tag_boundaries(build_structured_mesh((0, 0), (w, h), (nx, ny)),
                           ProblemKind.MANDEL)
     assert mesh.n_cells == nx * ny
-    assert len(mesh.boundary_facets) == 2 * (nx + ny)
-    assert all(t is not None for t in mesh.boundary_facets.values())
-    total = sum(mesh.facet_area(f) for _, f in mesh.boundary_facets)
+    assert len(facets(mesh)) == 2 * (nx + ny)
+    assert len(set(facets(mesh))) == len(facets(mesh))
+    total = sum(mesh.facet_area(f) for _, f in facets(mesh))
     assert total == pytest.approx(2 * (w + h))
 
 
