@@ -15,7 +15,7 @@ block is computed on a reference cell and scattered everywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -157,9 +157,14 @@ def _volume_tables(space: TaylorHoodSpace):
 # ----------------------------------------------------------------------------
 
 def _triplets(rows_map, cols_map, elem):
-    """COO (rows, cols, data) of one element matrix placed on every cell."""
+    """COO (rows, cols, data) of one element matrix placed on every cell.
+
+    The indices are int32, the index type the sparse matrices keep, so the
+    COO constructor takes them without a copy.
+    """
     n_cells, nr = rows_map.shape
     nc = cols_map.shape[1]
+    rows_map, cols_map = (m.astype(np.int32) for m in (rows_map, cols_map))
     return (np.repeat(rows_map, nc, axis=1).reshape(-1),
             np.tile(cols_map, (1, nr)).reshape(-1),
             np.tile(elem.reshape(-1), n_cells))
@@ -202,7 +207,9 @@ def _boundary_faces(space: TaylorHoodSpace, tags):
 def _exact_symmetrize(mat: sp.csr_matrix) -> sp.csr_matrix:
     # scatter summation order differs between (i, j) and (j, i); averaging
     # restores bitwise symmetry, which the transposed dual system relies on
-    return (0.5 * (mat + mat.T)).tocsr()
+    sym = mat + mat.T
+    sym.data *= 0.5
+    return sym
 
 
 def assemble_elasticity(space: TaylorHoodSpace, mu: float, lam: float) -> sp.csr_matrix:
@@ -324,18 +331,24 @@ def dirichlet_dofs(space: TaylorHoodSpace, problem_kind: ProblemKind):
 
 def _eliminate(mat: sp.csr_matrix, rows: np.ndarray, cols: np.ndarray,
                unit_diag: bool) -> sp.csr_matrix:
-    keep_rows = np.ones(mat.shape[0])
-    keep_rows[rows] = 0.0
-    keep_cols = np.ones(mat.shape[1])
-    keep_cols[cols] = 0.0
-    out = sp.diags(keep_rows) @ mat @ sp.diags(keep_cols)
+    """Zero the listed rows and columns of ``mat`` in place and drop every
+    zero entry, explicit zeros of the assembly included; with
+    ``unit_diag``, return the result plus a unit diagonal on the rows."""
+    fixed_rows = np.zeros(mat.shape[0], dtype=bool)
+    fixed_rows[rows] = True
+    fixed_cols = np.zeros(mat.shape[1], dtype=bool)
+    fixed_cols[cols] = True
+    mat.data[np.repeat(fixed_rows, np.diff(mat.indptr))
+             | fixed_cols[mat.indices]] = 0.0
+    mat.eliminate_zeros()
     if unit_diag:
-        out = out + sp.diags(1.0 - keep_rows)
-    return out.tocsr()
+        return mat + sp.diags(fixed_rows.astype(float))
+    return mat
 
 
 def apply_dirichlet(ops: BlockOperators, problem_kind: ProblemKind) -> BlockOperators:
-    """Symmetric elimination of the benchmark Dirichlet constraints.
+    """Symmetric elimination of the benchmark Dirichlet constraints, in
+    place: ``ops`` is constrained and returned.
 
     Constrained rows and columns are zeroed in every block and a unit
     diagonal is placed in ``A_uu`` (displacement dofs) and ``M_pp``
@@ -344,20 +357,14 @@ def apply_dirichlet(ops: BlockOperators, problem_kind: ProblemKind) -> BlockOper
     transpose.  Load and goal vectors are zeroed on constrained dofs.
     """
     du, dp = dirichlet_dofs(ops.space, problem_kind)
-    f = ops.f_traction.copy()
-    f[du] = 0.0
-    g = ops.g_goal.copy()
-    g[dp] = 0.0
-    return replace(
-        ops,
-        A_uu=_eliminate(ops.A_uu, du, du, unit_diag=True),
-        M_pp=_eliminate(ops.M_pp, dp, dp, unit_diag=True),
-        K_pp=_eliminate(ops.K_pp, dp, dp, unit_diag=False),
-        C_up=_eliminate(ops.C_up, du, dp, unit_diag=False),
-        D_pu=_eliminate(ops.D_pu, dp, du, unit_diag=False),
-        f_traction=f,
-        g_goal=g,
-    )
+    ops.f_traction[du] = 0.0
+    ops.g_goal[dp] = 0.0
+    ops.A_uu = _eliminate(ops.A_uu, du, du, unit_diag=True)
+    ops.M_pp = _eliminate(ops.M_pp, dp, dp, unit_diag=True)
+    ops.K_pp = _eliminate(ops.K_pp, dp, dp, unit_diag=False)
+    ops.C_up = _eliminate(ops.C_up, du, dp, unit_diag=False)
+    ops.D_pu = _eliminate(ops.D_pu, dp, du, unit_diag=False)
+    return ops
 
 
 def assemble_operators(space: TaylorHoodSpace, material: MaterialParams,

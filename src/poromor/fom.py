@@ -21,7 +21,7 @@ from .assembly import BlockOperators
 from .discretization import nested_dissection
 from .linsolve import (Factorization, LinearSolverConfig, SolverMethod,
                        _one_blas_thread, gmres_solve, incomplete_factorization,
-                       jacobi_scaled, symmetric_permutation)
+                       jacobi_scaled, release_heap)
 
 __all__ = [
     "TimeGrid",
@@ -118,17 +118,18 @@ class StepSystem:
         self._ilu = None  # SuperLU's incomplete factor, for GMRES
         # gmres_solve's recycled (C, U) pairs of S and of S^T
         self._recycled = ([], [])
+        # each factorization starts on a trimmed heap, once the set-up's
+        # temporaries are freed
         if self.solver.method is SolverMethod.DIRECT:
             # S is built for the scaling only; the solves never read it.  In
-            # 3D the scaled copy is replaced by its permutation, so SuperLU
-            # factors beside one copy
-            self._scale, scaled = jacobi_scaled(self._step_matrix())
+            # 3D the scaled copy is built in nested-dissection order
             perm = nested_dissection(ops.space) if ops.space.dim == 3 else None
-            if perm is not None:
-                scaled = symmetric_permutation(scaled, perm)
+            self._scale, scaled = jacobi_scaled(self._step_matrix(), perm)
+            release_heap()
             self._lu = Factorization(scaled, perm)
         else:
             self._scale, scaled = jacobi_scaled(self.matrix)
+            release_heap()
             self._ilu = incomplete_factorization(scaled)
         self.solve_count = 0
         self.iteration_counts: list[int] = []

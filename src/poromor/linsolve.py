@@ -36,7 +36,7 @@ __all__ = [
     "Factorization",
     "incomplete_factorization",
     "jacobi_scaled",
-    "symmetric_permutation",
+    "release_heap",
     "gmres_solve",
     "GMRES_TOLERANCE",
     "GMRES_RESTART",
@@ -160,7 +160,7 @@ class Factorization:
     """Reusable sparse LU handle with forward and transpose solves.
 
     Without ``perm`` SuperLU orders the matrix S itself.  With ``perm`` the
-    matrix given is already P S P^T (:func:`symmetric_permutation`), so
+    matrix given is already P S P^T (:func:`jacobi_scaled`), so
     the caller need keep no unpermuted copy alive while SuperLU factors it
     in that order, and every solve permutes its right-hand side and result
     so that it solves with S.
@@ -194,9 +194,11 @@ class Factorization:
         return x
 
 
-def jacobi_scaled(matrix: sp.spmatrix) -> tuple[np.ndarray, sp.csc_matrix]:
+def jacobi_scaled(matrix: sp.spmatrix, perm: np.ndarray | None = None
+                  ) -> tuple[np.ndarray, sp.csc_matrix]:
     """The symmetric Jacobi scaling D = |diag S|^(-1/2) of a step matrix,
-    and D S D in CSC, which both factorizations read.
+    and D S D in CSC, which both factorizations read; with ``perm``,
+    P (D S D) P^T, (P D S D P^T)[i, j] = (D S D)[perm[i], perm[j]].
 
     Both solver paths work on D S D.  The raw system mixes stiffness
     entries ~1e8 with storage-mass entries ~1e-8, which ruins the forward
@@ -204,29 +206,52 @@ def jacobi_scaled(matrix: sp.spmatrix) -> tuple[np.ndarray, sp.csc_matrix]:
     above the mechanics rows in a GMRES residual.  D S D weighs them alike
     (the optimal diagonal scaling of van der Sluis 1969) and keeps the
     transpose structure intact, so dual solves stay exact adjoints of
-    primal solves.  It is one CSC copy of S scaled in place, so no product
-    temporaries sit beside the factorizations' allocations.
+    primal solves.  ``matrix`` is left as it is.  Without ``perm`` the
+    result is one CSC copy of S scaled in place.  With it, S's rows are
+    gathered in ``perm``'s order into one CSR copy, scaled and relabelled
+    in place, and converted once to CSC, which sorts each column.  Every
+    entry is S_ij d_i d_j, the row factor applied first.
     """
     diag = matrix.diagonal()
     if np.any(diag == 0.0):
         raise FactorizationError("zero diagonal in the step matrix")
     d = 1.0 / np.sqrt(np.abs(diag))
-    scaled = sp.csc_matrix(matrix, copy=True)
-    scaled.data *= d[scaled.indices]
-    scaled.data *= np.repeat(d, np.diff(scaled.indptr))
-    return d, scaled
+    if perm is None:
+        scaled = sp.csc_matrix(matrix, copy=True)
+        scaled.data *= d[scaled.indices]
+        scaled.data *= np.repeat(d, np.diff(scaled.indptr))
+        return d, scaled
+    rows = sp.csr_matrix(matrix)[perm]
+    rows.data *= np.repeat(d[perm], np.diff(rows.indptr))
+    rows.data *= d[rows.indices]
+    inverse = np.empty(perm.size, dtype=rows.indices.dtype)
+    inverse[perm] = np.arange(perm.size, dtype=inverse.dtype)
+    rows.indices = inverse[rows.indices]
+    return d, rows.tocsc()
 
 
-def symmetric_permutation(matrix: sp.spmatrix, perm: np.ndarray) -> sp.csc_matrix:
-    """P A P^T in CSC, (P A P^T)[i, j] = A[perm[i], perm[j]], as one copy:
-    the columns in order, then their rows relabelled."""
-    permuted = sp.csc_matrix(matrix)[:, perm]
-    inverse = np.empty(perm.size, dtype=permuted.indices.dtype)
-    inverse[perm] = np.arange(perm.size)
-    permuted.indices = inverse[permuted.indices]
-    permuted.has_sorted_indices = False
-    permuted.sort_indices()
-    return permuted
+@functools.cache
+def _malloc_trim():
+    """glibc's ``malloc_trim``, or None where the C library has none."""
+    try:
+        trim = ctypes.CDLL(None).malloc_trim
+    except (OSError, AttributeError, TypeError):
+        return None
+    trim.argtypes, trim.restype = [ctypes.c_size_t], ctypes.c_int
+    return trim
+
+
+def release_heap() -> None:
+    """Give the C heap's free pages back to the operating system.
+
+    Assembly and the set-up of a step matrix free tens of MB of sparse
+    temporaries; glibc keeps most of that heap resident, so a
+    factorization that follows would add its own allocations on top.  A
+    no-op where the C library has no ``malloc_trim``.
+    """
+    trim = _malloc_trim()
+    if trim is not None:
+        trim(0)
 
 
 def incomplete_factorization(matrix: sp.spmatrix):

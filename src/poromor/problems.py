@@ -23,7 +23,7 @@ from .assembly import BlockOperators, MaterialParams, assemble_operators
 from .discretization import (BoundaryTag, ProblemKind, build_structured_mesh,
                              build_taylor_hood_space, tag_boundaries)
 from .fom import TimeGrid
-from .linsolve import LinearSolverConfig, SolverMethod
+from .linsolve import LinearSolverConfig, SolverMethod, release_heap
 
 __all__ = [
     "ProblemSpec",
@@ -140,6 +140,8 @@ def build_problem(spec: ProblemSpec) -> tuple[BlockOperators, TimeGrid]:
         neumann_tags=spec.neumann_tags,
     )
     grid = TimeGrid(t_end=spec.t_end, num_elements=spec.num_steps)
+    # the assembly's temporaries are freed; give their heap back
+    release_heap()
     return ops, grid
 
 

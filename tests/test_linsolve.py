@@ -14,7 +14,7 @@ from poromor.linsolve import (GMRES_MAX_ITERATIONS, GMRES_RESTART,
                               FactorizationError, LinearSolverConfig,
                               SolverMethod, _openblas_thread_controls,
                               gmres_solve, incomplete_factorization,
-                              jacobi_scaled, symmetric_permutation)
+                              jacobi_scaled, release_heap)
 from poromor.problems import build_problem, mandel_spec
 
 
@@ -61,11 +61,12 @@ def test_factorize_permuted_forward_and_transpose():
     A = sp.csc_matrix(A + 2 * A.T + 10 * sp.eye(40))
     perm = rng.permutation(40)
     b = rng.standard_normal(40)
-    # the factorization takes P A P^T, and its solves are with A
-    permuted = symmetric_permutation(A, perm)
-    assert abs(permuted - A[perm][:, perm]).max() == 0.0
+    # the factorization takes P (D A D) P^T, and its solves are with D A D
+    scaled = jacobi_scaled(A)[1]
+    permuted = jacobi_scaled(A, perm)[1]
+    assert abs(permuted - scaled[perm][:, perm]).max() == 0.0
     handle = Factorization(permuted, perm)
-    for op, transpose in ((A, False), (A.T, True)):
+    for op, transpose in ((scaled, False), (scaled.T, True)):
         x = handle.solve(b, transpose=transpose)
         assert np.linalg.norm(op @ x - b) / np.linalg.norm(b) < 1e-12
 
@@ -385,3 +386,45 @@ def test_footing_nested_dissection_adjoint_and_fill():
     # nonzeros of L + U, nested dissection 0.66M
     lu = system._lu._lu
     assert lu.L.nnz + lu.U.nnz < 700_000
+
+
+@pytest.fixture
+def malloc_trim_lookup():
+    """Clears the cached libc lookup before and after the test."""
+    linsolve._malloc_trim.cache_clear()
+    yield
+    linsolve._malloc_trim.cache_clear()
+
+
+def test_heap_release_without_malloc_trim(mandel_small, monkeypatch,
+                                          malloc_trim_lookup):
+    def no_library(*args, **kwargs):
+        raise OSError("no C library")
+
+    monkeypatch.setattr(linsolve.ctypes, "CDLL", no_library)
+    assert linsolve._malloc_trim() is None
+    assert release_heap() is None
+    _, ops, grid = mandel_small
+    x = StepSystem(ops, grid.k).solve_primal(np.zeros(ops.n_u), np.zeros(ops.n_p))
+    assert np.all(np.isfinite(np.concatenate(x)))
+
+
+def test_heap_released_once_per_build_and_factorization(monkeypatch):
+    calls = []
+    monkeypatch.setattr(linsolve, "_malloc_trim", lambda: calls.append)
+    ops, grid = build_problem(mandel_spec(cells=(4, 2), steps=3))
+    assert calls == [0]
+    StepSystem(ops, grid.k)
+    StepSystem(ops, grid.k, GMRES)
+    assert calls == [0, 0, 0]
+    run_primal_fom(ops, grid)
+    assert len(calls) == 4
+
+
+def test_malloc_trim_found_on_glibc(malloc_trim_lookup):
+    import platform
+
+    if platform.libc_ver()[0] != "glibc":
+        pytest.skip("malloc_trim is a glibc extension; this Python is not "
+                    "linked against glibc")
+    assert linsolve._malloc_trim() is not None
