@@ -22,7 +22,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .discretization import (BoundaryTag, ProblemKind, TaylorHoodSpace,
-                             _lex_indices)
+                             _lex_indices, nested_dissection)
 
 __all__ = [
     "MaterialParams",
@@ -69,14 +69,15 @@ class MaterialParams:
 
 @dataclass
 class BlockOperators:
-    """Assembled sparse blocks plus load and goal vectors.
+    """Assembled sparse blocks, load and goal vectors, and factor ordering.
 
     Operators leave :func:`assemble_operators` constrained: the benchmark
     Dirichlet dofs (zero values in both benchmarks) are eliminated
-    symmetrically by :func:`apply_dirichlet`.
+    symmetrically by :func:`apply_dirichlet`.  ``ordering`` is the
+    nested-dissection order of the monolithic (u, then p) dofs on 3D
+    meshes, and None on 2D ones, which SuperLU orders by minimum degree.
     """
 
-    space: TaylorHoodSpace
     A_uu: sp.csr_matrix
     M_pp: sp.csr_matrix
     K_pp: sp.csr_matrix
@@ -84,14 +85,15 @@ class BlockOperators:
     D_pu: sp.csr_matrix
     f_traction: np.ndarray
     g_goal: np.ndarray
+    ordering: np.ndarray | None
 
     @property
     def n_u(self) -> int:
-        return self.space.n_u
+        return self.A_uu.shape[0]
 
     @property
     def n_p(self) -> int:
-        return self.space.n_p
+        return self.M_pp.shape[0]
 
 
 # ----------------------------------------------------------------------------
@@ -346,9 +348,9 @@ def _eliminate(mat: sp.csr_matrix, rows: np.ndarray, cols: np.ndarray,
     return mat
 
 
-def apply_dirichlet(ops: BlockOperators, problem_kind: ProblemKind) -> BlockOperators:
-    """Symmetric elimination of the benchmark Dirichlet constraints, in
-    place: ``ops`` is constrained and returned.
+def apply_dirichlet(ops: BlockOperators, du, dp) -> BlockOperators:
+    """Symmetric elimination of the constrained u dofs ``du`` and p dofs
+    ``dp``, in place: ``ops`` is constrained and returned.
 
     Constrained rows and columns are zeroed in every block and a unit
     diagonal is placed in ``A_uu`` (displacement dofs) and ``M_pp``
@@ -356,7 +358,6 @@ def apply_dirichlet(ops: BlockOperators, problem_kind: ProblemKind) -> BlockOper
     row/column per constraint and the dual step matrix stays its exact
     transpose.  Load and goal vectors are zeroed on constrained dofs.
     """
-    du, dp = dirichlet_dofs(ops.space, problem_kind)
     ops.f_traction[du] = 0.0
     ops.g_goal[dp] = 0.0
     ops.A_uu = _eliminate(ops.A_uu, du, du, unit_diag=True)
@@ -373,7 +374,7 @@ def assemble_operators(space: TaylorHoodSpace, material: MaterialParams,
                        traction_direction: np.ndarray,
                        goal_tag: BoundaryTag,
                        neumann_tags: tuple[BoundaryTag, ...]) -> BlockOperators:
-    """Assemble and constrain all blocks of one benchmark problem."""
+    """Assemble, constrain and order all blocks of one benchmark problem."""
     material.validate()
     A = assemble_elasticity(space, material.lame_mu, material.lame_lambda)
     M, K = assemble_pressure_blocks(space, material.storage_coefficient,
@@ -382,4 +383,6 @@ def assemble_operators(space: TaylorHoodSpace, material: MaterialParams,
     f = assemble_traction(space, traction_tag, material.traction_magnitude,
                           traction_direction)
     g = assemble_goal_vector(space, goal_tag)
-    return apply_dirichlet(BlockOperators(space, A, M, K, C, D, f, g), problem_kind)
+    ordering = nested_dissection(space) if space.dim == 3 else None
+    return apply_dirichlet(BlockOperators(A, M, K, C, D, f, g, ordering),
+                           *dirichlet_dofs(space, problem_kind))

@@ -109,8 +109,9 @@ def tag_boundaries(mesh: StructuredMesh, problem_kind: ProblemKind) -> Structure
     faces.  Footing (3D): Bottom/Top on the z-axis faces, Wall on the four
     lateral faces; top facets whose centroids fall inside the centered patch
     of half the domain side length are tagged Compression instead of Top.
-    Exact patch coverage needs the lateral cell counts divisible by 4; on
-    coarser grids facets straddling the patch edge stay Top.
+    Exact patch coverage needs the lateral cell counts divisible by 4.  On
+    2 (mod 4) of them, centroids on the patch edge fall in or out by float
+    rounding: 6^3 gets a lopsided 3x3 patch (ROADMAP, Known defects).
     """
     face_tags = _FACE_TAGS[problem_kind]
     if len(face_tags) != 2 * mesh.spatial_dim:

@@ -18,7 +18,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from .assembly import BlockOperators
-from .discretization import nested_dissection
 from .linsolve import (Factorization, LinearSolverConfig, SolverMethod,
                        _one_blas_thread, gmres_solve, incomplete_factorization,
                        jacobi_scaled, release_heap)
@@ -86,14 +85,13 @@ class StepSystem:
     Dual step:    S^T [z_u; z_p] = [D^T z_p_next; M z_p_next + k g]
 
     Both methods factor the Jacobi-scaled matrix D S D once: exactly for
-    the direct method, in nested-dissection order on 3D meshes
-    (:func:`~poromor.discretization.nested_dissection`) and in SuperLU's
-    minimum-degree order on 2D ones, and incompletely to precondition
-    GMRES.  Dual solves use the same factor transposed.  GMRES also keeps
-    one recycled Krylov space per direction, of S for primal and S^T for
-    dual steps, which each solve reads and updates.  Every solve starts
-    from the state it steps from: GMRES iterates from it, and a direct
-    solve adds one LU-solved increment to it.
+    the direct method, in the operators' ``ordering`` (SuperLU's
+    minimum-degree order where it is None), and incompletely to
+    precondition GMRES.  Dual solves use the same factor transposed.
+    GMRES also keeps one recycled Krylov space per direction, of S for
+    primal and S^T for dual steps, which each solve reads and updates.
+    Every solve starts from the state it steps from: GMRES iterates from
+    it, and a direct solve adds one LU-solved increment to it.
     """
 
     def __init__(self, ops: BlockOperators, k: float,
@@ -102,7 +100,6 @@ class StepSystem:
         self.k = float(k)
         self.solver = solver or LinearSolverConfig()
         self.n_u = ops.n_u
-        self.n_p = ops.n_p
 
         self._kK = self.k * ops.K_pp
         self._kg = self.k * ops.g_goal
@@ -121,12 +118,10 @@ class StepSystem:
         # each factorization starts on a trimmed heap, once the set-up's
         # temporaries are freed
         if self.solver.method is SolverMethod.DIRECT:
-            # S is built for the scaling only; the solves never read it.  In
-            # 3D the scaled copy is built in nested-dissection order
-            perm = nested_dissection(ops.space) if ops.space.dim == 3 else None
-            self._scale, scaled = jacobi_scaled(self._step_matrix(), perm)
+            # S is built for the scaling only; the solves never read it
+            self._scale, scaled = jacobi_scaled(self._step_matrix(), ops.ordering)
             release_heap()
-            self._lu = Factorization(scaled, perm)
+            self._lu = Factorization(scaled, ops.ordering)
         else:
             self._scale, scaled = jacobi_scaled(self.matrix)
             release_heap()

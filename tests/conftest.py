@@ -30,6 +30,16 @@ def footing_tiny():
     return spec, ops, grid
 
 
+def fresh_space(spec):
+    """The Taylor-Hood space of ``spec``'s mesh, built anew: the operators
+    that ``build_problem`` returns do not carry it."""
+    from poromor.discretization import (build_structured_mesh,
+                                        build_taylor_hood_space)
+
+    return build_taylor_hood_space(build_structured_mesh(
+        spec.origin, spec.extent, spec.cells_per_axis))
+
+
 def make_identity_basis(n: int) -> "PodBasis":
     from poromor.pod import PodBasis
 

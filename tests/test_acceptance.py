@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import make_identity_basis, truncated_pod_basis
+from conftest import fresh_space, make_identity_basis, truncated_pod_basis
 from poromor.adaptive import run_moredwr
 from poromor.estimator import estimate_elementwise
 from poromor.fom import StepSystem, evaluate_goal, run_primal_fom
@@ -211,7 +211,7 @@ def test_criterion_8_mandel_cryer_effect(mandel_paper):
     # coefficient on every decaying exponential, so the bottom-edge integral
     # falls monotonically; the Mandel-Cryer rise is pointwise, at the centre.
     spec, ops, grid, reference, _ = mandel_paper
-    space = ops.space
+    space = fresh_space(spec)
     centre = int(np.flatnonzero(
         np.all(np.isclose(space.p_node_coords, space.mesh.origin), axis=1))[0])
     e_centre = np.zeros(ops.n_p)

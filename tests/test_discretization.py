@@ -3,10 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import fresh_space
 from poromor.discretization import (BoundaryTag, ProblemKind,
                                     build_structured_mesh,
-                                    build_taylor_hood_space, nested_dissection,
-                                    tag_boundaries)
+                                    build_taylor_hood_space, tag_boundaries)
 from poromor.fom import StepSystem
 from poromor.problems import build_problem, footing_spec
 
@@ -192,9 +192,10 @@ def test_mesh_invariants_random(nx, ny, w, h):
 
 @pytest.mark.parametrize("n", [3, 4])
 def test_nested_dissection_top_cut_separates(n):
-    ops, grid = build_problem(footing_spec(cells=(n,) * 3, steps=2))
-    space = ops.space
-    perm = nested_dissection(space)
+    spec = footing_spec(cells=(n,) * 3, steps=2)
+    ops, grid = build_problem(spec)
+    space = fresh_space(spec)
+    perm = ops.ordering
     size = ops.n_u + ops.n_p
     assert np.array_equal(np.sort(perm), np.arange(size))
     position = np.empty(size, dtype=int)

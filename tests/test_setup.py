@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_setup as ref
+from conftest import fresh_space
 from poromor import linsolve
 from poromor.assembly import _eliminate
 from poromor.discretization import nested_dissection
@@ -41,9 +42,20 @@ def test_constrained_operators_match_reference(cells, monkeypatch):
         assert getattr(ops, name).tobytes() == getattr(expected, name).tobytes()
 
 
+@pytest.mark.parametrize("cells", [(4, 2), *FOOTING_MESHES], ids=mesh_id)
+def test_operators_carry_their_ordering(cells):
+    spec = spec_of(cells)
+    ops, _ = build_problem(spec)
+    if len(cells) == 2:
+        assert ops.ordering is None
+    else:
+        assert np.array_equal(ops.ordering, nested_dissection(fresh_space(spec)))
+
+
 @pytest.mark.parametrize("cells", FOOTING_MESHES, ids=mesh_id)
 def test_factor_input_matches_reference(cells, monkeypatch):
-    ops, grid = build_problem(spec_of(cells))
+    spec = spec_of(cells)
+    ops, grid = build_problem(spec)
     factored = []
     splu = linsolve.spla.splu
 
@@ -54,7 +66,7 @@ def test_factor_input_matches_reference(cells, monkeypatch):
     monkeypatch.setattr(linsolve.spla, "splu", recording_splu)
     system = StepSystem(ops, grid.k)
     expected = ref.symmetric_permutation(jacobi_scaled(system.matrix)[1],
-                                         nested_dissection(ops.space))
+                                         nested_dissection(fresh_space(spec)))
     assert factored == [ref.raw(expected)]
 
 
