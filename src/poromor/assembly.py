@@ -10,11 +10,13 @@ Blocks follow the weak form of the coupled flow/mechanics system:
   -alpha (p I, grad v) + alpha <p n, v> on the traction boundary
 
 All cells of a structured mesh are congruent, so one element matrix per
-block is computed on a reference cell and scattered everywhere.
+block is computed on a reference cell and scattered everywhere (on the
+footing, into the invariant subspace of its symmetries: symmetry_fold).
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -71,9 +73,9 @@ class MaterialParams:
 class BlockOperators:
     """Assembled sparse blocks, load and goal vectors, and factor ordering.
 
-    Operators leave :func:`assemble_operators` constrained: the benchmark
-    Dirichlet dofs (zero values in both benchmarks) are eliminated
-    symmetrically by :func:`apply_dirichlet`.  ``ordering`` is the
+    Operators leave :func:`assemble_operators` constrained (Dirichlet dofs
+    eliminated symmetrically by :func:`apply_dirichlet`) and, on the
+    footing, folded by its symmetries.  ``ordering`` is the
     nested-dissection order of the monolithic (u, then p) dofs on 3D
     meshes, and None on 2D ones, which SuperLU orders by minimum degree.
     """
@@ -172,9 +174,28 @@ def _triplets(rows_map, cols_map, elem):
             np.tile(elem.reshape(-1), n_cells))
 
 
-def _scatter(rows_map, cols_map, elem, shape) -> sp.csr_matrix:
-    """Scatter one element matrix to every cell; duplicate entries are summed."""
-    rows, cols, data = _triplets(rows_map, cols_map, elem)
+def _sector_triplets(fold, fields, rows_map, cols_map, elem):
+    """COO (rows, cols, data) of E^T X E, X scattering ``elem`` to every cell:
+    to one per cell orbit, times the orbit's size.  Cancelled dofs drop out."""
+    R, C = (fold.E[f] for f in fields)
+    r, c = rows_map[fold.cells][:, :, None], cols_map[fold.cells][:, None, :]
+    data = R.data[r] * C.data[c] * elem * fold.cell_weight[:, None, None]
+    kept = data != 0.0
+    return (np.broadcast_to(R.indices[r], data.shape)[kept],
+            np.broadcast_to(C.indices[c], data.shape)[kept], data[kept])
+
+
+def _volume(space: TaylorHoodSpace, fold, fields, elem) -> sp.csr_matrix:
+    """Scatter one element matrix to every cell, rows and columns on the
+    ``fields`` ('u' or 'p'), duplicates summed; with ``fold``, E^T that E."""
+    maps = {f: space.u_dof_map if f == "u" else space.p_node_map for f in set(fields)}
+    rows_map, cols_map = (maps[f] for f in fields)
+    if fold is None:
+        rows, cols, data = _triplets(rows_map, cols_map, elem)
+        shape = tuple(getattr(space, "n_" + f) for f in fields)
+    else:
+        rows, cols, data = _sector_triplets(fold, fields, rows_map, cols_map, elem)
+        shape = tuple(fold.E[f].shape[1] for f in fields)
     return sp.coo_matrix((data, (rows, cols)), shape=shape).tocsr()
 
 
@@ -214,7 +235,8 @@ def _exact_symmetrize(mat: sp.csr_matrix) -> sp.csr_matrix:
     return sym
 
 
-def assemble_elasticity(space: TaylorHoodSpace, mu: float, lam: float) -> sp.csr_matrix:
+def assemble_elasticity(space: TaylorHoodSpace, mu: float, lam: float,
+                        fold: SymmetryFold | None = None) -> sp.csr_matrix:
     """Stiffness of sigma(u) = mu (grad u + grad u^T) + lambda (div u) I."""
     if mu <= 0 or lam < 0:
         raise ValueError("need mu > 0 and lambda >= 0")
@@ -231,26 +253,24 @@ def assemble_elasticity(space: TaylorHoodSpace, mu: float, lam: float) -> sp.csr
     elem = elem.reshape(n_loc * dim, n_loc * dim)
     # exact symmetry (addition is commutative), not just round-off symmetry
     elem = 0.5 * (elem + elem.T)
-    dofs = space.u_dof_map
-    return _exact_symmetrize(_scatter(dofs, dofs, elem, (space.n_u, space.n_u)))
+    return _exact_symmetrize(_volume(space, fold, "uu", elem))
 
 
 def assemble_pressure_blocks(space: TaylorHoodSpace, c: float, permeability: float,
-                             viscosity: float):
+                             viscosity: float, fold: SymmetryFold | None = None):
     """Storage mass c (p, q) and Darcy stiffness (K/nu) (grad p, grad q)."""
     if c <= 0 or permeability <= 0 or viscosity <= 0:
         raise ValueError("c, permeability and viscosity must be positive")
     w, _, (V, G) = _volume_tables(space)
     mass = c * np.einsum("q,qa,qb->ab", w, V, V)
     stiff = (permeability / viscosity) * np.einsum("q,qak,qbk->ab", w, G, G)
-    pmap = space.p_node_map
-    shape = (space.n_p, space.n_p)
-    return (_exact_symmetrize(_scatter(pmap, pmap, 0.5 * (mass + mass.T), shape)),
-            _exact_symmetrize(_scatter(pmap, pmap, 0.5 * (stiff + stiff.T), shape)))
+    return (_exact_symmetrize(_volume(space, fold, "pp", 0.5 * (mass + mass.T))),
+            _exact_symmetrize(_volume(space, fold, "pp", 0.5 * (stiff + stiff.T))))
 
 
 def assemble_coupling(space: TaylorHoodSpace, alpha: float,
-                      neumann_tags: tuple[BoundaryTag, ...]):
+                      neumann_tags: tuple[BoundaryTag, ...],
+                      fold: SymmetryFold | None = None):
     """Coupling pair (C_up, D_pu).
 
     ``C_up`` carries the volume term -alpha (p I, grad v) plus the boundary
@@ -261,12 +281,14 @@ def assemble_coupling(space: TaylorHoodSpace, alpha: float,
     w, (_, Gu), (Vp, _) = _volume_tables(space)
     d4 = alpha * np.einsum("q,qb,qai->bai", w, Vp, Gu)
     d_elem = d4.reshape(Vp.shape[1], Gu.shape[1] * space.dim)
-    D_pu = _scatter(space.p_node_map, space.u_dof_map, d_elem,
-                    (space.n_p, space.n_u))
+    D_pu = _volume(space, fold, "pu", d_elem)
     # the volume part is exactly -D_pu^T (integration-by-parts duality)
     C_up = (-D_pu.T).tocsr()
     if neumann_tags:
-        C_up = (C_up + _coupling_boundary(space, alpha, neumann_tags)).tocsr()
+        boundary = _coupling_boundary(space, alpha, neumann_tags)
+        if fold is not None:
+            boundary = fold.E["u"].T @ boundary @ fold.E["p"]
+        C_up = (C_up + boundary).tocsr()
     return C_up, D_pu
 
 
@@ -368,21 +390,94 @@ def apply_dirichlet(ops: BlockOperators, du, dp) -> BlockOperators:
     return ops
 
 
+# per benchmark: the signed axis permutations (Q x)_a = signs_a x_perm_a about
+# the box centre that map the whole problem onto itself: the footing's D4
+_SYMMETRY = {ProblemKind.FOOTING: [([*perm, 2], (sx, sy, 1)) for perm in ((0, 1), (1, 0))
+                                   for sx in (1, -1) for sy in (1, -1)]}
+
+
+def _image(shape, perm, signs) -> np.ndarray:
+    """Flat index of each point's image on a lexicographic grid of ``shape``."""
+    idx = _lex_indices(shape)[:, perm]
+    idx = np.where(np.asarray(signs) > 0, idx, np.asarray(shape) - 1 - idx)
+    return idx @ np.cumprod([1, *shape[:-1]])
+
+
+def _orbits(images, signs):
+    """E (one entry ±1/sqrt(orbit size) per row, 0 where the signed orbit sum
+    cancels), representatives and sizes of the orbits under images (|H|, n)."""
+    first, n = images.argmin(axis=0), np.arange(images.shape[1])
+    rep, stabilizer = images[first, n], images == n
+    kept = ~np.any(stabilizer & (signs < 0), axis=0)
+    reps = np.flatnonzero(kept & (rep == n))
+    size = len(images) / stabilizer.sum(axis=0)
+    weight = np.where(kept, signs[first, n] / np.sqrt(size), 0.0)
+    column = np.where(kept, np.searchsorted(reps, rep), 0).astype(np.int32)
+    return (sp.csr_matrix((weight, column, np.arange(n.size + 1)),
+                          shape=(n.size, reps.size)), reps, size)
+
+
+# a fold by a group of ``order`` signed axis permutations: per field the
+# orthonormal basis E of the invariant subspace, a column per orbit; the ids
+# ``dofs`` of the orbit representatives; ``cells``, one per cell orbit of size
+# ``cell_weight``
+SymmetryFold = namedtuple("SymmetryFold", "order E dofs cells cell_weight")
+
+
+def symmetry_fold(space: TaylorHoodSpace, problem_kind: ProblemKind,
+                  f: np.ndarray, g: np.ndarray) -> SymmetryFold | None:
+    """The fold by H, the elements of the problem's declared group that map
+    the node grid onto itself and fix the load ``f`` and goal ``g`` to
+    1e-12 relative; None when H is the identity alone."""
+    cells, h = np.asarray(space.mesh.cells_per_axis), space.mesh.cell_size
+    H = []
+    for perm, signs in _SYMMETRY[problem_kind]:
+        if np.array_equal(cells[perm], cells) and np.array_equal(h[perm], h):
+            # u's component perm[a] moves to a, signed by signs[a]
+            inverse = np.argsort(perm)
+            nodes, p, cell = (_image(shape, perm, signs)
+                              for shape in (2 * cells + 1, cells + 1, cells))
+            u = (nodes[:, None] * space.dim + inverse).ravel()
+            u_sign = np.tile(np.take(signs, inverse), nodes.size)
+            if (np.abs(f[u] - u_sign * f).max() <= 1e-12 * np.abs(f).max()
+                    and np.abs(g[p] - g).max() <= 1e-12 * np.abs(g).max()):
+                H.append((u, u_sign, p, cell))
+    if len(H) < 2:
+        return None
+    u, u_sign, p, cell = map(np.array, zip(*H))
+    (E_u, u_reps, _), (E_p, p_reps, _), (_, cell_reps, cell_size) = map(
+        _orbits, (u, p, cell), (u_sign, np.ones(p.shape), np.ones(cell.shape)))
+    return SymmetryFold(len(H), {"u": E_u, "p": E_p}, np.concatenate(
+        (u_reps, space.n_u + p_reps)), cell_reps, cell_size[cell_reps])
+
+
 def assemble_operators(space: TaylorHoodSpace, material: MaterialParams,
                        problem_kind: ProblemKind,
                        traction_tag: BoundaryTag,
                        traction_direction: np.ndarray,
                        goal_tag: BoundaryTag,
-                       neumann_tags: tuple[BoundaryTag, ...]) -> BlockOperators:
-    """Assemble, constrain and order all blocks of one benchmark problem."""
+                       neumann_tags: tuple[BoundaryTag, ...],
+                       fold: bool = True) -> BlockOperators:
+    """Assemble, constrain and order all blocks of one benchmark problem;
+    with ``fold``, in the invariant subspace of :func:`symmetry_fold`'s
+    group, where the states stay, and ordered on its representatives."""
     material.validate()
-    A = assemble_elasticity(space, material.lame_mu, material.lame_lambda)
-    M, K = assemble_pressure_blocks(space, material.storage_coefficient,
-                                    material.permeability, material.viscosity)
-    C, D = assemble_coupling(space, material.biot_alpha, neumann_tags)
     f = assemble_traction(space, traction_tag, material.traction_magnitude,
                           traction_direction)
     g = assemble_goal_vector(space, goal_tag)
-    ordering = nested_dissection(space) if space.dim == 3 else None
-    return apply_dirichlet(BlockOperators(A, M, K, C, D, f, g, ordering),
-                           *dirichlet_dofs(space, problem_kind))
+    sector = (symmetry_fold(space, problem_kind, f, g)
+              if fold and problem_kind in _SYMMETRY else None)
+    A = assemble_elasticity(space, material.lame_mu, material.lame_lambda, sector)
+    M, K = assemble_pressure_blocks(space, material.storage_coefficient,
+                                    material.permeability, material.viscosity, sector)
+    C, D = assemble_coupling(space, material.biot_alpha, neumann_tags, sector)
+    du, dp = dirichlet_dofs(space, problem_kind)
+    if sector is not None:
+        # Dirichlet orbits are whole: a fixed dof's images are fixed too
+        E_u, E_p = sector.E["u"], sector.E["p"]
+        f, g = E_u.T @ f, E_p.T @ g
+        du, dp = (np.unique(E.indices[fixed[E.data[fixed] != 0]])
+                  for E, fixed in ((E_u, du), (E_p, dp)))
+    ordering = (nested_dissection(space, sector and sector.dofs)
+                if space.dim == 3 else None)
+    return apply_dirichlet(BlockOperators(A, M, K, C, D, f, g, ordering), du, dp)

@@ -213,16 +213,20 @@ def build_taylor_hood_space(mesh: StructuredMesh) -> TaylorHoodSpace:
 ND_LEAF_SIZE = 32
 
 
-def nested_dissection(space: TaylorHoodSpace) -> np.ndarray:
-    """Nested-dissection ordering of the monolithic (u, then p) dofs.
+def nested_dissection(space: TaylorHoodSpace,
+                      dofs: np.ndarray | None = None) -> np.ndarray:
+    """Nested-dissection ordering of the monolithic (u, then p) dofs (or of
+    those listed in ``dofs``, numbered in their order).
 
     Recursive coordinate bisection on element planes (George 1973, "Nested
     dissection of a regular finite element mesh"): each box of dofs is cut
     at the element plane nearest its median along its longest axis, the
     two halves are ordered first and the plane's dofs last.  No element
     crosses a plane of element boundaries, so each plane separates the
-    halves exactly in any matrix assembled on the space.  Boxes of at most
-    ND_LEAF_SIZE dofs, or that no plane cuts, keep their natural order.
+    halves exactly in any matrix assembled on the space, or folded by its
+    mirror symmetries, which map each element a mirror cuts onto itself.
+    Boxes of at most ND_LEAF_SIZE dofs, or that no plane cuts, keep their
+    natural order.
     Returns ``perm`` with dof ``perm[i]`` in position ``i``.
     """
     h = space.mesh.cell_size
@@ -230,6 +234,7 @@ def nested_dissection(space: TaylorHoodSpace) -> np.ndarray:
     nodes = np.vstack((np.repeat(space.u_node_coords, space.dim, axis=0),
                        space.p_node_coords))
     grid = np.rint(2.0 * (nodes - space.mesh.origin) / h).astype(np.int64)
+    grid = grid if dofs is None else grid[dofs]
 
     def dissect(box: np.ndarray) -> list[np.ndarray]:
         coords = grid[box]

@@ -40,6 +40,41 @@ def fresh_space(spec):
         spec.origin, spec.extent, spec.cells_per_axis))
 
 
+def tagged_space(spec):
+    """The Taylor-Hood space of ``spec``'s mesh with its boundary tagged, as
+    ``build_problem`` assembles on it."""
+    from poromor.discretization import (build_structured_mesh,
+                                        build_taylor_hood_space, tag_boundaries)
+
+    return build_taylor_hood_space(tag_boundaries(build_structured_mesh(
+        spec.origin, spec.extent, spec.cells_per_axis), spec.kind))
+
+
+def unfolded_operators(spec):
+    """``build_problem``'s operators of ``spec`` without the symmetry fold:
+    the full-size blocks."""
+    from poromor.assembly import assemble_operators
+
+    return assemble_operators(
+        tagged_space(spec), spec.material, spec.kind, traction_tag=spec.traction_tag,
+        traction_direction=np.asarray(spec.traction_direction),
+        goal_tag=spec.goal_tag, neumann_tags=spec.neumann_tags, fold=False)
+
+
+def footing_fold(spec):
+    """The tagged space of ``spec`` and the symmetry fold its operators are
+    assembled in (None where H is the identity alone)."""
+    from poromor.assembly import (assemble_goal_vector, assemble_traction,
+                                  symmetry_fold)
+
+    space = tagged_space(spec)
+    f = assemble_traction(space, spec.traction_tag,
+                          spec.material.traction_magnitude,
+                          np.asarray(spec.traction_direction))
+    g = assemble_goal_vector(space, spec.goal_tag)
+    return space, symmetry_fold(space, spec.kind, f, g)
+
+
 def make_identity_basis(n: int) -> "PodBasis":
     from poromor.pod import PodBasis
 

@@ -3,6 +3,9 @@ as possible, against which the in-place versions in ``poromor.assembly``
 and ``poromor.linsolve`` are checked byte for byte.
 
 * ``triplets`` scatters the dof maps in their own (int64) index type.
+* ``sector_triplets`` scatters the representative cells of a symmetry
+  fold plainly, then sends each row and column to its orbit's column of E
+  and weights each entry.
 * ``exact_symmetrize`` halves ``mat + mat.T`` into a new matrix.
 * ``eliminate`` constrains by two diagonal sparse products, which drop
   every entry that is exactly zero.
@@ -20,6 +23,16 @@ def triplets(rows_map, cols_map, elem):
     return (np.repeat(rows_map, nc, axis=1).reshape(-1),
             np.tile(cols_map, (1, nr)).reshape(-1),
             np.tile(elem.reshape(-1), n_cells))
+
+
+def sector_triplets(fold, fields, rows_map, cols_map, elem):
+    (r_index, r_weight), (c_index, c_weight) = (
+        (fold.E[f].indices, fold.E[f].data) for f in fields)
+    rows, cols, data = triplets(rows_map[fold.cells], cols_map[fold.cells], elem)
+    data = (r_weight[rows] * c_weight[cols] * data
+            * np.repeat(fold.cell_weight, elem.size))
+    kept = data != 0.0
+    return r_index[rows[kept]], c_index[cols[kept]], data[kept]
 
 
 def exact_symmetrize(mat):
@@ -53,6 +66,7 @@ def patch_assembly(monkeypatch):
     from poromor import assembly
 
     monkeypatch.setattr(assembly, "_triplets", triplets)
+    monkeypatch.setattr(assembly, "_sector_triplets", sector_triplets)
     monkeypatch.setattr(assembly, "_exact_symmetrize", exact_symmetrize)
     monkeypatch.setattr(assembly, "_eliminate", eliminate)
 

@@ -1,9 +1,11 @@
-"""Acceptance suite: one test per criterion, one printed verdict line each.
+"""Acceptance suite: one test per criterion, one printed verdict line each;
+criterion 9 has a second, which checks its run against the full domain.
 
 Run with ``pytest -v -s tests/test_acceptance.py``.  The heavy reference
 solves are shared through module-scoped fixtures.  The full module took
-45 s in one run on a quiet 2-core Xeon; criteria 9 and 10, which share
-the footing 8^3/500 runs on the direct solver, took 17.5 s on their own.
+48 s in one run on a quiet 2-core Xeon.  Criteria 9 and 10 share the
+footing 8^3/500 runs on the direct solver, folded by D4 (about 1.5 s);
+the same run on the full domain, criterion 9's cross-check, takes 19 s.
 """
 
 import dataclasses
@@ -12,7 +14,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import fresh_space, make_identity_basis, truncated_pod_basis
+from conftest import (fresh_space, make_identity_basis, truncated_pod_basis,
+                      unfolded_operators)
 from poromor.adaptive import run_moredwr
 from poromor.estimator import estimate_elementwise
 from poromor.fom import StepSystem, evaluate_goal, run_primal_fom
@@ -246,6 +249,25 @@ def test_criterion_9_footing_desk_scale(footing_desk, footing_runs):
             f"e_rel={rec.e_rel:.3e}, I_eff={rec.I_eff:.3f}, "
             f"solves={rec.fom_solves}, bases={tuple(rec.basis_sizes)}, "
             f"m_max={[log.m_max for log in rec.iterations]}{gmres}")
+
+
+def test_criterion_9_fold_matches_full_domain(footing_desk, footing_runs):
+    # criterion 9's run, folded by D4 (n = 2,124), against the same run on
+    # the full domain (n = 15,468)
+    spec, ops, grid, _, J_fold = footing_desk
+    folded = footing_runs[0].record
+    full = unfolded_operators(spec)
+    J_full = evaluate_goal(run_primal_fom(full, grid, solver=spec.solver,
+                                          store_states=False), grid)
+    unfolded = run_moredwr(full, grid, dataclasses.replace(spec.moredwr, tol_rel=0.01),
+                           solver=spec.solver, reference_goal=J_full).record
+    counters = [(r.fom_solves, tuple(r.basis_sizes),
+                 [log.m_max for log in r.iterations]) for r in (folded, unfolded)]
+    deviation = abs(J_fold - J_full) / abs(J_full)
+    ok = deviation <= 1e-12 and counters[0] == counters[1]
+    verdict(9, ok, f"folded (n = {ops.n_u + ops.n_p}) against full domain "
+            f"(n = {full.n_u + full.n_p}): J_fom deviation {deviation:.1e}, "
+            f"solves, bases, m_max {counters[0]} against {counters[1]}")
 
 
 def test_criterion_10_extra_dual_enrichment_effect(footing_runs):

@@ -208,12 +208,13 @@ def test_iteration_logs_pinned(cells, steps, method, fom_solves, sizes,
 # on the left-Jacobi system stalled on both (the flow rows outweighed the
 # mechanics rows); on the symmetrically scaled system it finishes with the
 # same bases and m_max.  The GMRES runs also pin their Arnoldi step totals
-# over the reference sweep and over the adaptive run (368 / 468 and
-# 469 / 604 before the Krylov space was recycled, 1800 / 2351 and
+# over the reference sweep and over the adaptive run, on the systems
+# folded by D4 (61 / 202 and 81 / 269 on the full domain, 368 / 468 and
+# 469 / 604 there before the Krylov space was recycled, 1800 / 2351 and
 # 2248 / 3138 before the incomplete factor preconditioned them).
 SMALL_FOOTING_LOGS = [
-    (4, (3, 6, 6, 5), [2, 4, 50, 6, 47, 47, 47, 47, 47], (61, 202)),
-    (5, (3, 7, 6, 5), [2, 4, 50, 6, 8, 50, 50, 50, 4], (81, 269)),
+    (4, (3, 6, 6, 5), [2, 4, 50, 6, 47, 47, 47, 47, 47], (29, 70)),
+    (5, (3, 7, 6, 5), [2, 4, 50, 6, 8, 50, 50, 50, 4], (32, 84)),
 ]
 
 

@@ -13,7 +13,7 @@ displacement component is linear, so Q2 holds it exactly.
 import numpy as np
 import pytest
 
-from conftest import fresh_space
+from conftest import fresh_space, unfolded_operators
 from poromor.fom import evaluate_goal, run_primal_fom
 from poromor.problems import build_problem, footing_spec, mandel_spec
 
@@ -93,7 +93,7 @@ def mirrored(f, g):
         "workload, whose J_ref is pinned"))),
     7, 8, 10, 12])
 def test_footing_load_and_goal_are_d4_invariant(n):
-    ops, _ = build_problem(footing_spec(cells=(n,) * 3, steps=1))
+    ops = unfolded_operators(footing_spec(cells=(n,) * 3, steps=1))
     f = ops.f_traction.reshape((2 * n + 1,) * 3 + (3,))
     g = ops.g_goal.reshape((n + 1,) * 3)
     for f_image, g_image in mirrored(f, g):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import fresh_space
+from conftest import footing_fold, unfolded_operators
 from poromor.discretization import (BoundaryTag, ProblemKind,
                                     build_structured_mesh,
                                     build_taylor_hood_space, tag_boundaries)
@@ -190,29 +190,37 @@ def test_mesh_invariants_random(nx, ny, w, h):
     assert total == pytest.approx(2 * (w + h))
 
 
-@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("n", [3, 4, 6])
 def test_nested_dissection_top_cut_separates(n):
+    # on the full domain and on the fold's orbit representatives alike
     spec = footing_spec(cells=(n,) * 3, steps=2)
-    ops, grid = build_problem(spec)
-    space = fresh_space(spec)
-    perm = ops.ordering
-    size = ops.n_u + ops.n_p
-    assert np.array_equal(np.sort(perm), np.arange(size))
-    position = np.empty(size, dtype=int)
-    position[perm] = np.arange(size)
-
-    # the top-level separator, ordered last, is the whole element plane
-    # x = c through the last dof; the two halves it cuts come before it
+    folded, grid = build_problem(spec)
+    space, fold = footing_fold(spec)
     coords = np.vstack((np.repeat(space.u_node_coords, 3, axis=0),
                         space.p_node_coords))
-    c = coords[perm[-1], 0]
-    cells = (c - space.mesh.origin[0]) / space.mesh.cell_size[0]
-    assert cells == round(cells) and 0 < cells < n
-    on_plane = coords[:, 0] == c
-    assert np.array_equal(np.sort(perm[-on_plane.sum():]),
-                          np.flatnonzero(on_plane))
-    low, high = coords[:, 0] < c, coords[:, 0] > c
-    assert position[low].max() < position[high].min()
+    for ops, dof_coords in ((folded, coords[fold.dofs]),
+                            (unfolded_operators(spec), coords)):
+        perm = ops.ordering
+        size = ops.n_u + ops.n_p
+        assert np.array_equal(np.sort(perm), np.arange(size))
+        position = np.empty(size, dtype=int)
+        position[perm] = np.arange(size)
 
-    S = StepSystem(ops, grid.k).matrix
-    assert S[low][:, high].nnz == 0 and S[high][:, low].nnz == 0
+        # the top-level separator, ordered last, is the whole element
+        # plane through the last dof normal to one axis; the two halves
+        # it cuts come before it
+        for axis in range(3):
+            c = dof_coords[perm[-1], axis]
+            on_plane = dof_coords[:, axis] == c
+            if np.array_equal(np.sort(perm[-on_plane.sum():]),
+                              np.flatnonzero(on_plane)):
+                break
+        else:
+            pytest.fail("the last dofs are no element plane")
+        cells = (c - space.mesh.origin[axis]) / space.mesh.cell_size[axis]
+        assert cells == round(cells) and 0 < cells < n
+        low, high = dof_coords[:, axis] < c, dof_coords[:, axis] > c
+        assert position[low].max() < position[high].min()
+
+        S = StepSystem(ops, grid.k).matrix
+        assert S[low][:, high].nnz == 0 and S[high][:, low].nnz == 0

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from conftest import unfolded_operators
 from poromor import linsolve
 from poromor.adaptive import run_moredwr
 from poromor.fom import StepSystem, evaluate_goal, run_primal_fom
@@ -163,11 +164,13 @@ def test_gmres_recycles_krylov_space_across_steps(monkeypatch, k):
     # trajectory's state: every GMRES step matches the direct one while
     # the primal space carries at most k pairs (c, u), D S D u = c with
     # orthonormal c, from step to step, and the transposed space stays
-    # empty until the first dual step; with k = 4 the space fills
+    # empty until the first dual step; with k = 4 the space fills.  On the
+    # full domain: folded by D4, every step takes about 3 Arnoldi steps
     from poromor.problems import footing_spec
 
     monkeypatch.setattr(linsolve, "GMRES_RESTART", k)
-    ops, grid = build_problem(footing_spec(cells=(4, 4, 4), steps=50))
+    spec = footing_spec(cells=(4, 4, 4), steps=50)
+    ops, grid = unfolded_operators(spec), build_problem(spec)[1]
     direct = StepSystem(ops, grid.k)
     system = StepSystem(ops, grid.k, GMRES)
     primal, dual = system._recycled
@@ -365,8 +368,10 @@ def test_footing_nested_dissection_adjoint_and_fill():
     from poromor.problems import footing_spec
 
     # criterion 4's transpose identity through the nested-dissection
-    # factor: <S^-T a, b> = <a, S^-1 b>, with S^-1 v = D (D S D)^-1 D v
-    ops, grid = build_problem(footing_spec(cells=(4, 4, 4), steps=2))
+    # factor: <S^-T a, b> = <a, S^-1 b>, with S^-1 v = D (D S D)^-1 D v, on
+    # the full domain (folded by D4, L + U has 33k nonzeros)
+    spec = footing_spec(cells=(4, 4, 4), steps=2)
+    ops, grid = unfolded_operators(spec), build_problem(spec)[1]
     system = StepSystem(ops, grid.k)
     d = system._scale
 
