@@ -10,8 +10,10 @@ Blocks follow the weak form of the coupled flow/mechanics system:
   -alpha (p I, grad v) + alpha <p n, v> on the traction boundary
 
 All cells of a structured mesh are congruent, so one element matrix per
-block is computed on a reference cell and scattered everywhere (on the
-footing, into the invariant subspace of its symmetries: symmetry_fold).
+block is computed on a reference cell and scattered through the sparse
+orthonormal basis E of the free dofs' subspace that the problem's
+symmetries leave invariant (symmetry_fold): a Dirichlet dof is a dof E does
+not span.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ __all__ = [
     "assemble_coupling",
     "assemble_traction",
     "assemble_goal_vector",
-    "apply_dirichlet",
     "assemble_operators",
 ]
 
@@ -73,11 +74,11 @@ class MaterialParams:
 class BlockOperators:
     """Assembled sparse blocks, load and goal vectors, and factor ordering.
 
-    Operators leave :func:`assemble_operators` constrained (Dirichlet dofs
-    eliminated symmetrically by :func:`apply_dirichlet`) and, on the
-    footing, folded by its symmetries.  ``ordering`` is the
-    nested-dissection order of the monolithic (u, then p) dofs on 3D
-    meshes, and None on 2D ones, which SuperLU orders by minimum degree.
+    Operators leave :func:`assemble_operators` in the subspace of
+    :func:`symmetry_fold`: the Dirichlet dofs are no unknowns, and on the
+    footing the free ones are folded by its symmetries.  ``ordering`` is
+    the nested-dissection order of the monolithic (u, then p) unknowns on
+    3D meshes, and None on 2D ones, which SuperLU orders by minimum degree.
     """
 
     A_uu: sp.csr_matrix
@@ -160,42 +161,29 @@ def _volume_tables(space: TaylorHoodSpace):
 # element matrices and global scatter
 # ----------------------------------------------------------------------------
 
-def _triplets(rows_map, cols_map, elem):
-    """COO (rows, cols, data) of one element matrix placed on every cell.
-
-    The indices are int32, the index type the sparse matrices keep, so the
-    COO constructor takes them without a copy.
-    """
-    n_cells, nr = rows_map.shape
-    nc = cols_map.shape[1]
-    rows_map, cols_map = (m.astype(np.int32) for m in (rows_map, cols_map))
-    return (np.repeat(rows_map, nc, axis=1).reshape(-1),
-            np.tile(cols_map, (1, nr)).reshape(-1),
-            np.tile(elem.reshape(-1), n_cells))
-
-
-def _sector_triplets(fold, fields, rows_map, cols_map, elem):
-    """COO (rows, cols, data) of E^T X E, X scattering ``elem`` to every cell:
-    to one per cell orbit, times the orbit's size.  Cancelled dofs drop out."""
+def _scatter(fold, fields, rows_map, cols_map, elem, weight=1.0):
+    """COO (rows, cols, data) of E^T X E, X placing ``elem`` times
+    ``weight`` on the cells whose dofs on the ``fields`` are the rows of
+    ``rows_map`` and ``cols_map``.  Dofs E does not span add exact zeros;
+    the indices are E's int32, which the COO constructor takes uncopied."""
     R, C = (fold.E[f] for f in fields)
-    r, c = rows_map[fold.cells][:, :, None], cols_map[fold.cells][:, None, :]
-    data = R.data[r] * C.data[c] * elem * fold.cell_weight[:, None, None]
-    kept = data != 0.0
-    return (np.broadcast_to(R.indices[r], data.shape)[kept],
-            np.broadcast_to(C.indices[c], data.shape)[kept], data[kept])
+    nr, nc = rows_map.shape[1], cols_map.shape[1]
+    # weights are cell orbit sizes, powers of two, which scale exactly: this
+    # order gives the bits of R C elem weight in one in-place pass
+    data = (R.data[rows_map] * weight)[:, :, None] * C.data[cols_map][:, None, :]
+    data *= elem
+    return (np.repeat(R.indices[rows_map], nc, axis=1).reshape(-1),
+            np.tile(C.indices[cols_map], (1, nr)).reshape(-1), data.reshape(-1))
 
 
 def _volume(space: TaylorHoodSpace, fold, fields, elem) -> sp.csr_matrix:
-    """Scatter one element matrix to every cell, rows and columns on the
-    ``fields`` ('u' or 'p'), duplicates summed; with ``fold``, E^T that E."""
+    """E^T X E, X the sum of one element matrix over every cell, rows and
+    columns on the ``fields`` ('u' or 'p'): scattered on one cell per cell
+    orbit, times the orbit's size, duplicates summed."""
     maps = {f: space.u_dof_map if f == "u" else space.p_node_map for f in set(fields)}
-    rows_map, cols_map = (maps[f] for f in fields)
-    if fold is None:
-        rows, cols, data = _triplets(rows_map, cols_map, elem)
-        shape = tuple(getattr(space, "n_" + f) for f in fields)
-    else:
-        rows, cols, data = _sector_triplets(fold, fields, rows_map, cols_map, elem)
-        shape = tuple(fold.E[f].shape[1] for f in fields)
+    rows, cols, data = _scatter(fold, fields, *(maps[f][fold.cells] for f in fields),
+                                elem, fold.cell_weight[:, None])
+    shape = tuple(fold.E[f].shape[1] for f in fields)
     return sp.coo_matrix((data, (rows, cols)), shape=shape).tocsr()
 
 
@@ -217,7 +205,7 @@ def _boundary_faces(space: TaylorHoodSpace, tags):
     for local_face in range(2 * dim):
         # ascending over the merged tags: the COO sums depend on this order
         cells = np.sort(np.concatenate(
-            [mesh.boundary[t].get(local_face, no_cells) for t in tags]))
+            [no_cells, *(mesh.boundary[t].get(local_face, no_cells) for t in tags)]))
         if not cells.size:
             continue
         points, weights = _facet_rule(dim, local_face)
@@ -236,8 +224,9 @@ def _exact_symmetrize(mat: sp.csr_matrix) -> sp.csr_matrix:
 
 
 def assemble_elasticity(space: TaylorHoodSpace, mu: float, lam: float,
-                        fold: SymmetryFold | None = None) -> sp.csr_matrix:
-    """Stiffness of sigma(u) = mu (grad u + grad u^T) + lambda (div u) I."""
+                        fold: SymmetryFold) -> sp.csr_matrix:
+    """Stiffness of sigma(u) = mu (grad u + grad u^T) + lambda (div u) I,
+    in the subspace of ``fold``."""
     if mu <= 0 or lam < 0:
         raise ValueError("need mu > 0 and lambda >= 0")
     dim = space.dim
@@ -257,8 +246,9 @@ def assemble_elasticity(space: TaylorHoodSpace, mu: float, lam: float,
 
 
 def assemble_pressure_blocks(space: TaylorHoodSpace, c: float, permeability: float,
-                             viscosity: float, fold: SymmetryFold | None = None):
-    """Storage mass c (p, q) and Darcy stiffness (K/nu) (grad p, grad q)."""
+                             viscosity: float, fold: SymmetryFold):
+    """Storage mass c (p, q) and Darcy stiffness (K/nu) (grad p, grad q),
+    in the subspace of ``fold``."""
     if c <= 0 or permeability <= 0 or viscosity <= 0:
         raise ValueError("c, permeability and viscosity must be positive")
     w, _, (V, G) = _volume_tables(space)
@@ -270,8 +260,8 @@ def assemble_pressure_blocks(space: TaylorHoodSpace, c: float, permeability: flo
 
 def assemble_coupling(space: TaylorHoodSpace, alpha: float,
                       neumann_tags: tuple[BoundaryTag, ...],
-                      fold: SymmetryFold | None = None):
-    """Coupling pair (C_up, D_pu).
+                      fold: SymmetryFold):
+    """Coupling pair (C_up, D_pu), in the subspace of ``fold``.
 
     ``C_up`` carries the volume term -alpha (p I, grad v) plus the boundary
     term +alpha <p n, v> on the listed traction boundaries; ``D_pu`` is the
@@ -282,30 +272,21 @@ def assemble_coupling(space: TaylorHoodSpace, alpha: float,
     d4 = alpha * np.einsum("q,qb,qai->bai", w, Vp, Gu)
     d_elem = d4.reshape(Vp.shape[1], Gu.shape[1] * space.dim)
     D_pu = _volume(space, fold, "pu", d_elem)
+    D_pu.eliminate_zeros()  # the other blocks lose their zeros in a sparse sum
     # the volume part is exactly -D_pu^T (integration-by-parts duality)
     C_up = (-D_pu.T).tocsr()
-    if neumann_tags:
-        boundary = _coupling_boundary(space, alpha, neumann_tags)
-        if fold is not None:
-            boundary = fold.E["u"].T @ boundary @ fold.E["p"]
-        C_up = (C_up + boundary).tocsr()
-    return C_up, D_pu
-
-
-def _coupling_boundary(space, alpha, tags) -> sp.csr_matrix:
     parts = []
-    for face, cells, w, Vu, Vp in _boundary_faces(space, tags):
+    for face, cells, w, Vu, Vp in _boundary_faces(space, neumann_tags):
         normal = space.mesh.facet_normal(face)
         # alpha <p n, v>: component i picks up n_i
         face4 = alpha * np.einsum("q,qa,qb,i->aib", w, Vu, Vp, normal)
         elem = face4.reshape(Vu.shape[1] * space.dim, Vp.shape[1])
-        parts.append(_triplets(space.u_dof_map[cells], space.p_node_map[cells],
-                               elem))
-    if not parts:
-        return sp.csr_matrix((space.n_u, space.n_p))
-    rows, cols, data = (np.concatenate(p) for p in zip(*parts))
-    return sp.coo_matrix((data, (rows, cols)),
-                         shape=(space.n_u, space.n_p)).tocsr()
+        parts.append(_scatter(fold, "up", space.u_dof_map[cells],
+                              space.p_node_map[cells], elem))
+    if parts:
+        rows, cols, data = (np.concatenate(p) for p in zip(*parts))
+        C_up = (C_up + sp.coo_matrix((data, (rows, cols)), shape=C_up.shape)).tocsr()
+    return C_up, D_pu
 
 
 def assemble_traction(space: TaylorHoodSpace, tag: BoundaryTag, t_bar: float,
@@ -331,7 +312,7 @@ def assemble_goal_vector(space: TaylorHoodSpace, tag: BoundaryTag) -> np.ndarray
 
 
 # ----------------------------------------------------------------------------
-# Dirichlet constraints
+# the subspace: free dofs, folded by the problem's symmetries
 # ----------------------------------------------------------------------------
 
 # per benchmark: the (tag, displacement component) pairs held at u_i = 0,
@@ -345,54 +326,19 @@ _DIRICHLET = {
 
 
 def dirichlet_dofs(space: TaylorHoodSpace, problem_kind: ProblemKind):
-    """Constrained (u, p) dof index arrays: the nodes on the tagged facets
-    of the benchmark's Dirichlet boundaries."""
+    """Fixed (u, p) dof index arrays: the nodes on the tagged facets of the
+    benchmark's Dirichlet boundaries."""
     u_fixed, p_fixed = _DIRICHLET[problem_kind]
     u_dofs = [space.boundary_nodes(tag, 2) * space.dim + c for tag, c in u_fixed]
     p_dofs = [space.boundary_nodes(tag, 1) for tag in p_fixed]
     return np.unique(np.concatenate(u_dofs)), np.unique(np.concatenate(p_dofs))
 
 
-def _eliminate(mat: sp.csr_matrix, rows: np.ndarray, cols: np.ndarray,
-               unit_diag: bool) -> sp.csr_matrix:
-    """Zero the listed rows and columns of ``mat`` in place and drop every
-    zero entry, explicit zeros of the assembly included; with
-    ``unit_diag``, return the result plus a unit diagonal on the rows."""
-    fixed_rows = np.zeros(mat.shape[0], dtype=bool)
-    fixed_rows[rows] = True
-    fixed_cols = np.zeros(mat.shape[1], dtype=bool)
-    fixed_cols[cols] = True
-    mat.data[np.repeat(fixed_rows, np.diff(mat.indptr))
-             | fixed_cols[mat.indices]] = 0.0
-    mat.eliminate_zeros()
-    if unit_diag:
-        return mat + sp.diags(fixed_rows.astype(float))
-    return mat
-
-
-def apply_dirichlet(ops: BlockOperators, du, dp) -> BlockOperators:
-    """Symmetric elimination of the constrained u dofs ``du`` and p dofs
-    ``dp``, in place: ``ops`` is constrained and returned.
-
-    Constrained rows and columns are zeroed in every block and a unit
-    diagonal is placed in ``A_uu`` (displacement dofs) and ``M_pp``
-    (pressure dofs), so that the monolithic step matrix keeps a clean unit
-    row/column per constraint and the dual step matrix stays its exact
-    transpose.  Load and goal vectors are zeroed on constrained dofs.
-    """
-    ops.f_traction[du] = 0.0
-    ops.g_goal[dp] = 0.0
-    ops.A_uu = _eliminate(ops.A_uu, du, du, unit_diag=True)
-    ops.M_pp = _eliminate(ops.M_pp, dp, dp, unit_diag=True)
-    ops.K_pp = _eliminate(ops.K_pp, dp, dp, unit_diag=False)
-    ops.C_up = _eliminate(ops.C_up, du, dp, unit_diag=False)
-    ops.D_pu = _eliminate(ops.D_pu, dp, du, unit_diag=False)
-    return ops
-
-
 # per benchmark: the signed axis permutations (Q x)_a = signs_a x_perm_a about
-# the box centre that map the whole problem onto itself: the footing's D4
-_SYMMETRY = {ProblemKind.FOOTING: [([*perm, 2], (sx, sy, 1)) for perm in ((0, 1), (1, 0))
+# the box centre that map the whole problem onto itself, the identity first:
+# Mandel's identity alone (its rollers are its symmetry planes), footing's D4
+_SYMMETRY = {ProblemKind.MANDEL: [([0, 1], (1, 1))],
+             ProblemKind.FOOTING: [([*perm, 2], (sx, sy, 1)) for perm in ((0, 1), (1, 0))
                                    for sx in (1, -1) for sy in (1, -1)]}
 
 
@@ -403,12 +349,14 @@ def _image(shape, perm, signs) -> np.ndarray:
     return idx @ np.cumprod([1, *shape[:-1]])
 
 
-def _orbits(images, signs):
-    """E (one entry ±1/sqrt(orbit size) per row, 0 where the signed orbit sum
-    cancels), representatives and sizes of the orbits under images (|H|, n)."""
+def _orbits(images, signs, fixed):
+    """E (one entry ±1/sqrt(orbit size) per row, 0 on the ``fixed`` ids and
+    where the signed orbit sum cancels), representatives and sizes of the
+    orbits under images (|H|, n)."""
     first, n = images.argmin(axis=0), np.arange(images.shape[1])
     rep, stabilizer = images[first, n], images == n
     kept = ~np.any(stabilizer & (signs < 0), axis=0)
+    kept[fixed] = False
     reps = np.flatnonzero(kept & (rep == n))
     size = len(images) / stabilizer.sum(axis=0)
     weight = np.where(kept, signs[first, n] / np.sqrt(size), 0.0)
@@ -417,21 +365,22 @@ def _orbits(images, signs):
                           shape=(n.size, reps.size)), reps, size)
 
 
-# a fold by a group of ``order`` signed axis permutations: per field the
-# orthonormal basis E of the invariant subspace, a column per orbit; the ids
-# ``dofs`` of the orbit representatives; ``cells``, one per cell orbit of size
-# ``cell_weight``
+# the subspace of a group of ``order`` signed axis permutations: per field
+# the orthonormal basis E of the free dofs' invariant subspace, a column per
+# orbit; the ids ``dofs`` of the orbit representatives; ``cells``, one per
+# cell orbit of size ``cell_weight``
 SymmetryFold = namedtuple("SymmetryFold", "order E dofs cells cell_weight")
 
 
 def symmetry_fold(space: TaylorHoodSpace, problem_kind: ProblemKind,
-                  f: np.ndarray, g: np.ndarray) -> SymmetryFold | None:
-    """The fold by H, the elements of the problem's declared group that map
-    the node grid onto itself and fix the load ``f`` and goal ``g`` to
-    1e-12 relative; None when H is the identity alone."""
+                  f: np.ndarray, g: np.ndarray, fold: bool = True) -> SymmetryFold:
+    """The subspace the operators are assembled in: the free dofs, folded
+    by H, the elements of the problem's declared group (without ``fold``,
+    the identity alone) that map the node grid onto itself and fix the load
+    ``f`` and goal ``g`` to 1e-12 relative, and with it the fixed dofs."""
     cells, h = np.asarray(space.mesh.cells_per_axis), space.mesh.cell_size
     H = []
-    for perm, signs in _SYMMETRY[problem_kind]:
+    for perm, signs in _SYMMETRY[problem_kind][:None if fold else 1]:
         if np.array_equal(cells[perm], cells) and np.array_equal(h[perm], h):
             # u's component perm[a] moves to a, signed by signs[a]
             inverse = np.argsort(perm)
@@ -442,11 +391,10 @@ def symmetry_fold(space: TaylorHoodSpace, problem_kind: ProblemKind,
             if (np.abs(f[u] - u_sign * f).max() <= 1e-12 * np.abs(f).max()
                     and np.abs(g[p] - g).max() <= 1e-12 * np.abs(g).max()):
                 H.append((u, u_sign, p, cell))
-    if len(H) < 2:
-        return None
     u, u_sign, p, cell = map(np.array, zip(*H))
     (E_u, u_reps, _), (E_p, p_reps, _), (_, cell_reps, cell_size) = map(
-        _orbits, (u, p, cell), (u_sign, np.ones(p.shape), np.ones(cell.shape)))
+        _orbits, (u, p, cell), (u_sign, np.ones(p.shape), np.ones(cell.shape)),
+        (*dirichlet_dofs(space, problem_kind), []))
     return SymmetryFold(len(H), {"u": E_u, "p": E_p}, np.concatenate(
         (u_reps, space.n_u + p_reps)), cell_reps, cell_size[cell_reps])
 
@@ -458,26 +406,18 @@ def assemble_operators(space: TaylorHoodSpace, material: MaterialParams,
                        goal_tag: BoundaryTag,
                        neumann_tags: tuple[BoundaryTag, ...],
                        fold: bool = True) -> BlockOperators:
-    """Assemble, constrain and order all blocks of one benchmark problem;
-    with ``fold``, in the invariant subspace of :func:`symmetry_fold`'s
-    group, where the states stay, and ordered on its representatives."""
+    """Assemble and order all blocks of one benchmark problem in the
+    subspace of :func:`symmetry_fold`, where the states stay, ordered on
+    its representatives; without ``fold``, on all free dofs."""
     material.validate()
     f = assemble_traction(space, traction_tag, material.traction_magnitude,
                           traction_direction)
     g = assemble_goal_vector(space, goal_tag)
-    sector = (symmetry_fold(space, problem_kind, f, g)
-              if fold and problem_kind in _SYMMETRY else None)
+    sector = symmetry_fold(space, problem_kind, f, g, fold)
     A = assemble_elasticity(space, material.lame_mu, material.lame_lambda, sector)
     M, K = assemble_pressure_blocks(space, material.storage_coefficient,
                                     material.permeability, material.viscosity, sector)
     C, D = assemble_coupling(space, material.biot_alpha, neumann_tags, sector)
-    du, dp = dirichlet_dofs(space, problem_kind)
-    if sector is not None:
-        # Dirichlet orbits are whole: a fixed dof's images are fixed too
-        E_u, E_p = sector.E["u"], sector.E["p"]
-        f, g = E_u.T @ f, E_p.T @ g
-        du, dp = (np.unique(E.indices[fixed[E.data[fixed] != 0]])
-                  for E, fixed in ((E_u, du), (E_p, dp)))
-    ordering = (nested_dissection(space, sector and sector.dofs)
-                if space.dim == 3 else None)
-    return apply_dirichlet(BlockOperators(A, M, K, C, D, f, g, ordering), du, dp)
+    ordering = nested_dissection(space, sector.dofs) if space.dim == 3 else None
+    return BlockOperators(A, M, K, C, D, sector.E["u"].T @ f, sector.E["p"].T @ g,
+                          ordering)

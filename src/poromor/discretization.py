@@ -213,10 +213,10 @@ def build_taylor_hood_space(mesh: StructuredMesh) -> TaylorHoodSpace:
 ND_LEAF_SIZE = 32
 
 
-def nested_dissection(space: TaylorHoodSpace,
-                      dofs: np.ndarray | None = None) -> np.ndarray:
-    """Nested-dissection ordering of the monolithic (u, then p) dofs (or of
-    those listed in ``dofs``, numbered in their order).
+def nested_dissection(space: TaylorHoodSpace, dofs: np.ndarray) -> np.ndarray:
+    """Nested-dissection ordering of the monolithic (u, then p) ``dofs``,
+    numbered in their order: the unknowns of operators assembled in a
+    subspace, each at the node of its orbit representative.
 
     Recursive coordinate bisection on element planes (George 1973, "Nested
     dissection of a regular finite element mesh"): each box of dofs is cut
@@ -233,8 +233,7 @@ def nested_dissection(space: TaylorHoodSpace,
     # every node on the half-cell grid, in integer units: planes are even
     nodes = np.vstack((np.repeat(space.u_node_coords, space.dim, axis=0),
                        space.p_node_coords))
-    grid = np.rint(2.0 * (nodes - space.mesh.origin) / h).astype(np.int64)
-    grid = grid if dofs is None else grid[dofs]
+    grid = np.rint(2.0 * (nodes[dofs] - space.mesh.origin) / h).astype(np.int64)
 
     def dissect(box: np.ndarray) -> list[np.ndarray]:
         coords = grid[box]

@@ -2,9 +2,10 @@
 
 The step system couples the quasi-static mechanics row (no timestep factor)
 with the flow row (mass + k * Darcy stiffness).  Monolithic vectors are
-ordered displacement first, pressure second.  The adjoint problem runs
-backward in time; its step matrix is the exact transpose of the primal one
-thanks to the symmetric constraint elimination in :mod:`poromor.assembly`.
+ordered displacement first, pressure second, over the free dofs: the
+Dirichlet dofs are no unknowns (:mod:`poromor.assembly`).  The adjoint
+problem runs backward in time; its step matrix is the exact transpose of
+the primal one.
 """
 
 from __future__ import annotations
@@ -83,6 +84,7 @@ class StepSystem:
 
     Primal step:  S [u_m; p_m] = [f; M p_{m-1} + D u_{m-1}]
     Dual step:    S^T [z_u; z_p] = [D^T z_p_next; M z_p_next + k g]
+    on the free dofs alone: no row of S holds a constraint.
 
     Both methods factor the Jacobi-scaled matrix D S D once: exactly for
     the direct method, in the operators' ``ordering`` (SuperLU's

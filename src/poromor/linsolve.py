@@ -169,11 +169,11 @@ class Factorization:
     def __init__(self, matrix: sp.spmatrix, perm: np.ndarray | None = None):
         if matrix.shape[0] != matrix.shape[1]:
             raise ValueError("matrix must be square")
-        # the step matrices have symmetric structure (the Dirichlet
-        # elimination is symmetric), so SuperLU factors in symmetric mode,
-        # keeping partial pivoting.  On its own it orders A + A^T by
-        # minimum degree: on the Mandel 80x16 step matrix the L + U fill
-        # drops from 2.38M (COLAMD) to 1.35M and a solve takes half the time
+        # the step matrices have nearly symmetric structure (one basis for
+        # rows and columns), so SuperLU factors in symmetric mode, keeping
+        # partial pivoting.  On its own it orders A + A^T by minimum
+        # degree: on the Mandel 80x16 step matrix the L + U fill drops
+        # from 2.38M (COLAMD) to 1.35M and a solve takes half the time
         matrix = sp.csc_matrix(matrix)
         self._perm = perm
         permc_spec = "MMD_AT_PLUS_A"

@@ -127,7 +127,7 @@ def footing_spec(cells=(16, 16, 16), steps=5000, t_end=5.0e6) -> ProblemSpec:
 
 
 def build_problem(spec: ProblemSpec) -> tuple[BlockOperators, TimeGrid]:
-    """Mesh, tag, assemble and constrain one benchmark problem."""
+    """Mesh, tag and assemble one benchmark problem on its free dofs."""
     spec.validate()
     mesh = build_structured_mesh(spec.origin, spec.extent, spec.cells_per_axis)
     mesh = tag_boundaries(mesh, spec.kind)

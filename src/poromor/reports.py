@@ -91,6 +91,15 @@ def _require_columns(path, columns, names) -> None:
             raise ValueError(f"{path} lacks the column {name!r}")
 
 
+def _number(path, line: int, column: str, text) -> float:
+    """``text`` from ``column`` on ``line`` of ``path`` as a float."""
+    try:
+        return float(text)
+    except ValueError:
+        raise ValueError(f"{path} line {line}, column {column!r}: "
+                         f"{text!r} is not a number") from None
+
+
 def read_summary(directory, columns=()) -> dict:
     """The summary row of a bundle; ``ValueError`` if it lacks ``columns``."""
     path = Path(directory) / SUMMARY_CSV
@@ -136,11 +145,13 @@ def load_reference(directory) -> dict:
     with open(path, "r", newline="", encoding="utf-8") as handle:
         reader = csv.DictReader(handle, restval="")
         _require_columns(path, reader.fieldnames or (), ("goal_fom",))
-        series = [float(row["goal_fom"]) for row in reader]
+        series = [_number(path, line, "goal_fom", row["goal_fom"])
+                  for line, row in enumerate(reader, start=2)]  # after the header
+    path = Path(directory) / SUMMARY_CSV
     return {
         "fingerprint": summary["fingerprint"],
-        "J_fom": float(summary["J_fom"]),
-        "wall_time_s": float(summary["wall_time_s"]),
+        "J_fom": _number(path, 2, "J_fom", summary["J_fom"]),
+        "wall_time_s": _number(path, 2, "wall_time_s", summary["wall_time_s"]),
         "goal_series": np.asarray(series),
     }
 
@@ -162,8 +173,10 @@ def comparison_table(bundles) -> list[dict]:
     for s in summaries:
         if s.get("run_kind") != "moredwr":
             raise ValueError("comparison expects adaptive-run summaries")
-    rows = sorted(summaries, key=lambda s: float(s["tol_rel_pct"]))
-    return [{c: row.get(c, "") for c in COMPARE_COLUMNS} for row in rows]
+    tolerances = [_number(Path(d) / SUMMARY_CSV, 2, "tol_rel_pct", s["tol_rel_pct"])
+                  for d, s in zip(bundles, summaries)]
+    order = np.argsort(tolerances, kind="stable")
+    return [{c: summaries[i].get(c, "") for c in COMPARE_COLUMNS} for i in order]
 
 
 def format_comparison(rows: list[dict]) -> str:

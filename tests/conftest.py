@@ -30,16 +30,6 @@ def footing_tiny():
     return spec, ops, grid
 
 
-def fresh_space(spec):
-    """The Taylor-Hood space of ``spec``'s mesh, built anew: the operators
-    that ``build_problem`` returns do not carry it."""
-    from poromor.discretization import (build_structured_mesh,
-                                        build_taylor_hood_space)
-
-    return build_taylor_hood_space(build_structured_mesh(
-        spec.origin, spec.extent, spec.cells_per_axis))
-
-
 def tagged_space(spec):
     """The Taylor-Hood space of ``spec``'s mesh with its boundary tagged, as
     ``build_problem`` assembles on it."""
@@ -51,8 +41,8 @@ def tagged_space(spec):
 
 
 def unfolded_operators(spec):
-    """``build_problem``'s operators of ``spec`` without the symmetry fold:
-    the full-size blocks."""
+    """``build_problem``'s operators of ``spec`` without the symmetry fold
+    (H the identity alone): the blocks on all free dofs."""
     from poromor.assembly import assemble_operators
 
     return assemble_operators(
@@ -61,18 +51,54 @@ def unfolded_operators(spec):
         goal_tag=spec.goal_tag, neumann_tags=spec.neumann_tags, fold=False)
 
 
-def footing_fold(spec):
-    """The tagged space of ``spec`` and the symmetry fold its operators are
-    assembled in (None where H is the identity alone)."""
-    from poromor.assembly import (assemble_goal_vector, assemble_traction,
-                                  symmetry_fold)
+def load_and_goal(space, spec):
+    """The full-size load f and goal g of ``spec`` on ``space``."""
+    from poromor.assembly import assemble_goal_vector, assemble_traction
 
-    space = tagged_space(spec)
     f = assemble_traction(space, spec.traction_tag,
                           spec.material.traction_magnitude,
                           np.asarray(spec.traction_direction))
-    g = assemble_goal_vector(space, spec.goal_tag)
-    return space, symmetry_fold(space, spec.kind, f, g)
+    return f, assemble_goal_vector(space, spec.goal_tag)
+
+
+def subspace(spec, fold=True):
+    """The tagged space of ``spec`` and the subspace its operators are
+    assembled in: the free dofs, folded by the problem's symmetries (with
+    ``fold``) or by the identity alone."""
+    from poromor.assembly import symmetry_fold
+
+    space = tagged_space(spec)
+    return space, symmetry_fold(space, spec.kind, *load_and_goal(space, spec), fold)
+
+
+def identity_basis(space):
+    """The unconstrained identity basis of ``space``: every dof and every
+    cell, so that the assembly gives the full-size blocks."""
+    import scipy.sparse as sp
+
+    from poromor.assembly import SymmetryFold
+
+    return SymmetryFold(
+        1, {"u": sp.identity(space.n_u, format="csr"),
+            "p": sp.identity(space.n_p, format="csr")},
+        np.arange(space.n_u + space.n_p), np.arange(space.mesh.n_cells),
+        np.ones(space.mesh.n_cells))
+
+
+def full_blocks(spec):
+    """The five full-size blocks of ``spec``, by name: unconstrained and
+    unfolded."""
+    from poromor.assembly import (assemble_coupling, assemble_elasticity,
+                                  assemble_pressure_blocks)
+
+    space = tagged_space(spec)
+    basis, material = identity_basis(space), spec.material
+    M, K = assemble_pressure_blocks(space, material.storage_coefficient,
+                                    material.permeability, material.viscosity, basis)
+    C, D = assemble_coupling(space, material.biot_alpha, spec.neumann_tags, basis)
+    return {"A_uu": assemble_elasticity(space, material.lame_mu,
+                                        material.lame_lambda, basis),
+            "M_pp": M, "K_pp": K, "C_up": C, "D_pu": D}
 
 
 def make_identity_basis(n: int) -> "PodBasis":

@@ -2,13 +2,13 @@
 as possible, against which the in-place versions in ``poromor.assembly``
 and ``poromor.linsolve`` are checked byte for byte.
 
-* ``triplets`` scatters the dof maps in their own (int64) index type.
-* ``sector_triplets`` scatters the representative cells of a symmetry
-  fold plainly, then sends each row and column to its orbit's column of E
-  and weights each entry.
+* ``scatter`` scatters the dof maps plainly, in their own (int64) index
+  type, then sends each row and column to its orbit's column of E and
+  weights each entry.
 * ``exact_symmetrize`` halves ``mat + mat.T`` into a new matrix.
 * ``eliminate`` constrains by two diagonal sparse products, which drop
-  every entry that is exactly zero.
+  every entry that is exactly zero: the symmetric elimination of the
+  Dirichlet dofs with unit diagonals, which the basis E replaced.
 * ``symmetric_permutation`` gathers the columns of a CSC copy and re-sorts
   the relabelled rows of every column.
 """
@@ -25,14 +25,13 @@ def triplets(rows_map, cols_map, elem):
             np.tile(elem.reshape(-1), n_cells))
 
 
-def sector_triplets(fold, fields, rows_map, cols_map, elem):
+def scatter(fold, fields, rows_map, cols_map, elem, weight=1.0):
     (r_index, r_weight), (c_index, c_weight) = (
         (fold.E[f].indices, fold.E[f].data) for f in fields)
-    rows, cols, data = triplets(rows_map[fold.cells], cols_map[fold.cells], elem)
-    data = (r_weight[rows] * c_weight[cols] * data
-            * np.repeat(fold.cell_weight, elem.size))
-    kept = data != 0.0
-    return r_index[rows[kept]], c_index[cols[kept]], data[kept]
+    rows, cols, data = triplets(rows_map, cols_map, elem)
+    cell_weight = np.broadcast_to(np.ravel(weight), len(rows_map))
+    data = r_weight[rows] * c_weight[cols] * data * np.repeat(cell_weight, elem.size)
+    return r_index[rows], c_index[cols], data
 
 
 def exact_symmetrize(mat):
@@ -62,13 +61,11 @@ def symmetric_permutation(matrix, perm):
 
 
 def patch_assembly(monkeypatch):
-    """Make ``poromor.assembly`` assemble and constrain with the references."""
+    """Make ``poromor.assembly`` scatter and symmetrize with the references."""
     from poromor import assembly
 
-    monkeypatch.setattr(assembly, "_triplets", triplets)
-    monkeypatch.setattr(assembly, "_sector_triplets", sector_triplets)
+    monkeypatch.setattr(assembly, "_scatter", scatter)
     monkeypatch.setattr(assembly, "_exact_symmetrize", exact_symmetrize)
-    monkeypatch.setattr(assembly, "_eliminate", eliminate)
 
 
 def raw(matrix):

@@ -168,8 +168,8 @@ def test_config_validation():
     MoreDwrConfig().validate()
 
 
-# Iteration logs at tol 1%: direct solves on Mandel 4x2 (105 unknowns) and
-# 80x16 (12003), and GMRES, whose mean iteration count over the run's solves
+# Iteration logs at tol 1%: direct solves on Mandel 4x2 (88 unknowns) and
+# 80x16 (11792), and GMRES, whose mean iteration count over the run's solves
 # is pinned as well (preconditioned by the incomplete factor and recycling
 # its Krylov space; 4.14 without recycling, 51.24 with the Jacobi scaling
 # alone).
@@ -209,12 +209,14 @@ def test_iteration_logs_pinned(cells, steps, method, fom_solves, sizes,
 # mechanics rows); on the symmetrically scaled system it finishes with the
 # same bases and m_max.  The GMRES runs also pin their Arnoldi step totals
 # over the reference sweep and over the adaptive run, on the systems
-# folded by D4 (61 / 202 and 81 / 269 on the full domain, 368 / 468 and
-# 469 / 604 there before the Krylov space was recycled, 1800 / 2351 and
-# 2248 / 3138 before the incomplete factor preconditioned them).
+# folded by D4 (61 / 177 and 81 / 271 on all free dofs; on the full
+# domain with the Dirichlet dofs eliminated by unit diagonals, 61 / 202 and
+# 81 / 269, 368 / 468 and 469 / 604 before the Krylov space was recycled,
+# 1800 / 2351 and 2248 / 3138 before the incomplete factor preconditioned
+# them).
 SMALL_FOOTING_LOGS = [
     (4, (3, 6, 6, 5), [2, 4, 50, 6, 47, 47, 47, 47, 47], (29, 70)),
-    (5, (3, 7, 6, 5), [2, 4, 50, 6, 8, 50, 50, 50, 4], (32, 84)),
+    (5, (3, 7, 6, 5), [2, 4, 50, 6, 8, 50, 50, 50, 4], (32, 83)),
 ]
 
 

@@ -493,6 +493,29 @@ def test_cli_reference_short_row_exit_code(tmp_path, mandel_fom_bundle, file, co
                  str(reference), "--out", str(tmp_path / "x")]) == 2
 
 
+def set_cell(column, line, value):
+    """Put ``value`` in ``column`` on ``line`` (the header is line 1)."""
+    def edit(rows):
+        rows[line - 1][rows[0].index(column)] = value
+        return rows
+    return edit
+
+
+@pytest.mark.parametrize("file, column, line", [
+    (reports.GOAL_CSV, "goal_fom", 7), (reports.SUMMARY_CSV, "J_fom", 2),
+    (reports.SUMMARY_CSV, "wall_time_s", 2)])
+def test_cli_reference_non_numeric_value_exit_code(tmp_path, capsys, mandel_fom_bundle,
+                                                   file, column, line):
+    reference = tmp_path / "reference"
+    shutil.copytree(mandel_fom_bundle, reference)
+    rewrite_csv(reference / file, set_cell(column, line, "abc"))
+    code = main(["moredwr", "--cells", "4x2", "--steps", "20",
+                 "--reference", str(reference), "--out", str(tmp_path / "x")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"{reference / file} line {line}, column {column!r}: 'abc'" in err
+
+
 def test_cli_reference_cut_goal_series_exit_code(tmp_path, capsys, mandel_fom_bundle):
     # the header and four of the twenty rows, as `head -5` leaves them: the
     # run is refused before it starts, and writes nothing
@@ -516,3 +539,14 @@ def test_compare_summary_lacking_tolerance_exit_code(tmp_path, capsys):
     assert main(["compare", str(out)]) == 2
     err = capsys.readouterr().err
     assert str(out / reports.SUMMARY_CSV) in err and "'tol_rel_pct'" in err
+
+
+def test_compare_non_numeric_tolerance_exit_code(tmp_path, capsys):
+    out = tmp_path / "rom"
+    assert main(["moredwr", "--cells", "4x2", "--steps", "20", "--tol", "0.5",
+                 "--min-iterations", "0", "--out", str(out)]) == 0
+    rewrite_csv(out / reports.SUMMARY_CSV, set_cell("tol_rel_pct", 2, "abc"))
+    capsys.readouterr()
+    assert main(["compare", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"{out / reports.SUMMARY_CSV} line 2, column 'tol_rel_pct': 'abc'" in err

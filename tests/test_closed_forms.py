@@ -10,10 +10,12 @@ alpha^2 M), 5.0% above the textbook total-stress value alpha M F /
 displacement component is linear, so Q2 holds it exactly.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from conftest import fresh_space, unfolded_operators
+from conftest import subspace, unfolded_operators
 from poromor.fom import evaluate_goal, run_primal_fom
 from poromor.problems import build_problem, footing_spec, mandel_spec
 
@@ -25,9 +27,15 @@ WIDTH, HEIGHT = mandel_spec().extent
 
 
 def mandel_run(cells, steps, t_end=5.0e6):
+    """The space, the primal trajectory with its states lifted through the
+    basis E to every node, and the time grid."""
     spec = mandel_spec(cells=cells, steps=steps, t_end=t_end)
     ops, grid = build_problem(spec)
-    return fresh_space(spec), run_primal_fom(ops, grid), grid
+    space, basis = subspace(spec)
+    traj = run_primal_fom(ops, grid)
+    lifted = dataclasses.replace(traj, U=(basis.E["u"] @ traj.U.T).T,
+                                 P=(basis.E["p"] @ traj.P.T).T)
+    return space, lifted, grid
 
 
 def test_mandel_undrained_pressure():
@@ -93,9 +101,11 @@ def mirrored(f, g):
         "workload, whose J_ref is pinned"))),
     7, 8, 10, 12])
 def test_footing_load_and_goal_are_d4_invariant(n):
-    ops = unfolded_operators(footing_spec(cells=(n,) * 3, steps=1))
-    f = ops.f_traction.reshape((2 * n + 1,) * 3 + (3,))
-    g = ops.g_goal.reshape((n + 1,) * 3)
+    # the load and goal on all free dofs, lifted through E to every node
+    spec = footing_spec(cells=(n,) * 3, steps=1)
+    ops, (_, basis) = unfolded_operators(spec), subspace(spec, fold=False)
+    f = (basis.E["u"] @ ops.f_traction).reshape((2 * n + 1,) * 3 + (3,))
+    g = (basis.E["p"] @ ops.g_goal).reshape((n + 1,) * 3)
     for f_image, g_image in mirrored(f, g):
         assert np.abs(f_image - f).max() <= 1e-14 * np.abs(f).max()
         assert np.abs(g_image - g).max() <= 1e-14 * np.abs(g).max()

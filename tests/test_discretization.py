@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import footing_fold, unfolded_operators
+from conftest import subspace, unfolded_operators
 from poromor.discretization import (BoundaryTag, ProblemKind,
                                     build_structured_mesh,
                                     build_taylor_hood_space, tag_boundaries)
@@ -192,14 +192,15 @@ def test_mesh_invariants_random(nx, ny, w, h):
 
 @pytest.mark.parametrize("n", [3, 4, 6])
 def test_nested_dissection_top_cut_separates(n):
-    # on the full domain and on the fold's orbit representatives alike
+    # on all free dofs and on the fold's orbit representatives alike
     spec = footing_spec(cells=(n,) * 3, steps=2)
     folded, grid = build_problem(spec)
-    space, fold = footing_fold(spec)
+    space, fold = subspace(spec)
     coords = np.vstack((np.repeat(space.u_node_coords, 3, axis=0),
                         space.p_node_coords))
-    for ops, dof_coords in ((folded, coords[fold.dofs]),
-                            (unfolded_operators(spec), coords)):
+    for ops, basis in ((folded, fold),
+                       (unfolded_operators(spec), subspace(spec, fold=False)[1])):
+        dof_coords = coords[basis.dofs]
         perm = ops.ordering
         size = ops.n_u + ops.n_p
         assert np.array_equal(np.sort(perm), np.arange(size))

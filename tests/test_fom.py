@@ -186,7 +186,7 @@ def test_evaluate_goal_examples(mandel_small):
     # constant p == 1: J = |Gamma_bottom| * T
     series = np.ones((M + 1, ops.n_p)) @ ops.g_goal
     J = evaluate_goal(Trajectory(None, None, goal_series=series), grid)
-    # the goal vector is zeroed on the constrained right-edge dof
+    # the goal vector leaves out the fixed bottom-right pressure dof
     expected_measure = ops.g_goal.sum()
     assert J == pytest.approx(expected_measure * 5.0e6, rel=1e-12)
 

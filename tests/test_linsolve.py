@@ -331,7 +331,7 @@ def blas_threads(count):
 
 
 def test_results_do_not_depend_on_blas_threads():
-    # n = 12003: OpenBLAS splits dot and gemv reductions of this length
+    # n = 11792: OpenBLAS splits dot and gemv reductions of this length
     # over its threads, which moves J_rom and eta in the last digits
     spec = mandel_spec(cells=(80, 16), steps=40)
     ops, grid = build_problem(spec)
@@ -369,7 +369,8 @@ def test_footing_nested_dissection_adjoint_and_fill():
 
     # criterion 4's transpose identity through the nested-dissection
     # factor: <S^-T a, b> = <a, S^-1 b>, with S^-1 v = D (D S D)^-1 D v, on
-    # the full domain (folded by D4, L + U has 33k nonzeros)
+    # all free dofs of the full domain (folded by D4, L + U has 33.5k
+    # nonzeros)
     spec = footing_spec(cells=(4, 4, 4), steps=2)
     ops, grid = unfolded_operators(spec), build_problem(spec)[1]
     system = StepSystem(ops, grid.k)

@@ -1,7 +1,8 @@
 """The set-up in front of each factorization builds the same bytes as the
-plain implementations in ``reference_setup``: the constrained blocks with
-their load and goal vectors, and the nested-dissection factor input.  The
-footing's are folded by its symmetry group (all three meshes fold)."""
+plain implementations in ``reference_setup``: the blocks in the basis of
+the free dofs with their load and goal vectors, and the nested-dissection
+factor input.  The footing's are folded by its symmetry group (all three
+meshes fold)."""
 
 import numpy as np
 import pytest
@@ -10,9 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_setup as ref
-from conftest import footing_fold
+from conftest import subspace
 from poromor import linsolve
-from poromor.assembly import _eliminate
 from poromor.discretization import nested_dissection
 from poromor.fom import StepSystem
 from poromor.linsolve import jacobi_scaled
@@ -33,7 +33,7 @@ def spec_of(cells):
 
 def footing_ordering(spec):
     """Nested dissection over the orbit representatives of the fold."""
-    space, fold = footing_fold(spec)
+    space, fold = subspace(spec)
     return nested_dissection(space, fold.dofs)
 
 
@@ -78,11 +78,10 @@ def test_factor_input_matches_reference(cells, monkeypatch):
 
 
 @st.composite
-def constrained_matrices(draw):
+def permuted_matrices(draw):
     """A random CSR matrix with symmetric structure, a nonzero diagonal and
     one off-diagonal pair stored as explicit zeros (each the exact sum of
-    v and -v), plus random constrained row and column sets and a random
-    permutation."""
+    v and -v), plus a random permutation."""
     n = draw(st.integers(2, 25))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     pattern = sp.random(n, n, density=draw(st.floats(0.0, 0.6)),
@@ -98,22 +97,14 @@ def constrained_matrices(draw):
                            rng.uniform(1.0, 2.0, n) * rng.choice([-1, 1], n),
                            [v, -v, w, -w]])
     mat = sp.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
-    fixed_rows, fixed_cols = (np.flatnonzero(rng.random(n) < draw(st.floats(0, 1)))
-                              for _ in range(2))
-    return mat, fixed_rows, fixed_cols, rng.permutation(n)
+    return mat, rng.permutation(n)
 
 
 @settings(max_examples=150, deadline=None)
-@given(case=constrained_matrices())
-def test_masked_elimination_and_permuted_scaling_match_reference(case):
-    mat, fixed_rows, fixed_cols, perm = case
+@given(case=permuted_matrices())
+def test_permuted_scaling_matches_reference(case):
+    mat, perm = case
     assert np.count_nonzero(mat.data == 0.0) >= 2
-    for rows, cols, unit_diag in ((fixed_rows, fixed_cols, False),
-                                  (fixed_rows, fixed_rows, True)):
-        masked = _eliminate(mat.copy(), rows, cols, unit_diag)
-        assert ref.raw(masked) == ref.raw(ref.eliminate(mat, rows, cols, unit_diag))
-        assert np.all(masked.data != 0.0)
-
     before = ref.raw(mat)
     expected = ref.symmetric_permutation(jacobi_scaled(mat)[1], perm)
     assert ref.raw(jacobi_scaled(mat, perm)[1]) == ref.raw(expected)
