@@ -4,10 +4,10 @@ Each iteration solves the reduced primal and dual problems, evaluates the
 localized error estimates, and stops once the global relative estimate
 falls below the tolerance.  Otherwise one primal and one dual full-order
 step are solved on the worst temporal element (started from the lifted
-reduced states) and all four bases are updated incrementally.  During the
-first few iterations the dual bases additionally receive full-order dual
-snapshots for the trailing steps of the dual problem, which stabilizes the
-estimate early on.
+reduced states) and all four bases are updated incrementally.  In the
+first ``extra_dual_iterations`` iterations the loop does not stop, and the
+dual bases additionally receive full-order dual snapshots for the trailing
+steps of the dual problem, which stabilizes the estimate early on.
 """
 
 from __future__ import annotations
@@ -48,19 +48,16 @@ EXTRA_DUAL_STEPS = 5
 
 @dataclass(frozen=True)
 class MoreDwrConfig:
-    """Tolerance and iteration counts of the adaptive loop."""
+    """Tolerance and extra dual-enrichment count of the adaptive loop."""
 
     tol_rel: float = 0.01
     extra_dual_iterations: int = 5
-    min_iterations: int = 0
 
     def validate(self) -> None:
         if self.tol_rel <= 0:
             raise ValueError("tol_rel must be positive")
         if self.extra_dual_iterations < 0:
             raise ValueError("extra_dual_iterations must be >= 0")
-        if self.min_iterations < 0:
-            raise ValueError("min_iterations must be >= 0")
 
 
 @dataclass
@@ -170,14 +167,14 @@ def run_moredwr(ops: BlockOperators, grid: TimeGrid, config: MoreDwrConfig,
 
     ``reference_goal`` (a full-order goal value) is only used for reporting
     true errors and the effectivity/indicator indices; the loop itself never
-    consults it.  The loop runs at most max(M, min_iterations + 1)
-    iterations; non-convergence within them is reported in the record, not
-    raised.
+    consults it.  The loop takes no stop in the first extra_dual_iterations
+    iterations and runs at most max(M, extra_dual_iterations + 1); not
+    converging within them is reported in the record, not raised.
     """
     config.validate()
     start = time.perf_counter()
     record = RunRecord(tol_rel=config.tol_rel, J_fom=reference_goal)
-    cap = max(grid.num_elements, config.min_iterations + 1)
+    cap = max(grid.num_elements, config.extra_dual_iterations + 1)
 
     system = StepSystem(ops, grid.k, solver)
     pu, pp, du, dp = initialize_bases(ops, system)
@@ -212,7 +209,10 @@ def run_moredwr(ops: BlockOperators, grid: TimeGrid, config: MoreDwrConfig,
                     iteration, report.eta_rel,
                     record.iterations[-1].basis_sizes, system.solve_count)
 
-        if abs(report.eta_rel) < config.tol_rel and iteration > config.min_iterations:
+        # no stop while the dual bases are enriched: before they have seen
+        # the late-dual transient the estimate underestimates severely
+        enriching = iteration <= config.extra_dual_iterations
+        if abs(report.eta_rel) < config.tol_rel and not enriching:
             record.converged = True
             break
         if iteration == cap:
@@ -220,7 +220,7 @@ def run_moredwr(ops: BlockOperators, grid: TimeGrid, config: MoreDwrConfig,
             break
 
         extra_start = None
-        if iteration <= config.extra_dual_iterations:
+        if enriching:
             steps = min(EXTRA_DUAL_STEPS, grid.num_elements)
             extra_start = (lift(dual.U[steps], du), lift(dual.P[steps], dp))
 

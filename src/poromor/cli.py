@@ -49,9 +49,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_mor.add_argument("--reference", metavar="DIR",
                        help="directory of a matching full-order run")
     p_mor.add_argument("--no-extra-dual-enrichment", action="store_true",
-                       help="disable the early extra dual-basis enrichment")
-    p_mor.add_argument("--min-iterations", type=int, metavar="N",
-                       help="suppress the stopping check for the first N iterations")
+                       help="no extra dual enrichment, and no hold on stopping")
     p_mor.set_defaults(func=cmd_moredwr)
 
     p_cmp = sub.add_parser("compare", help="tabulate adaptive runs over tolerances")
@@ -74,8 +72,6 @@ def _spec_from_args(args) -> "ProblemSpec":
     }
     if getattr(args, "tol", None) is not None:
         overrides["tol"] = args.tol
-    if getattr(args, "min_iterations", None) is not None:
-        overrides["moredwr.min_iterations"] = args.min_iterations
     if getattr(args, "no_extra_dual_enrichment", False):
         overrides["moredwr.extra_dual_iterations"] = 0
     return parse_config(args.config, overrides)

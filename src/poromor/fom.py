@@ -28,7 +28,6 @@ __all__ = [
     "Trajectory",
     "StepSystem",
     "run_primal_fom",
-    "run_dual_fom",
     "evaluate_goal",
 ]
 
@@ -57,14 +56,15 @@ class TimeGrid:
 
 @dataclass
 class Trajectory:
-    """Dense state history.
+    """Dense state history of a sweep.
 
-    For primal runs row ``m`` holds the state at time ``t_m`` (row 0 is the
-    initial condition).  For dual runs row ``m`` holds the adjoint state on
-    temporal element ``I_{m+1}`` and the last row is the terminal condition
-    (zero for a purely time-integrated goal).  ``goal_series`` caches the
-    per-step boundary integrand g . p_m for primal runs; when states are not
-    stored only this series survives.
+    Row ``m`` of a primal history holds the state at time ``t_m`` (row 0 is
+    the initial condition).  Row ``m`` of an adjoint history, swept
+    backward by :meth:`StepSystem.solve_dual`, holds the adjoint state on
+    temporal element ``I_{m+1}``, and its last row is the terminal
+    condition (zero for a purely time-integrated goal).  ``goal_series``
+    caches the per-step boundary integrand g . p_m of a primal sweep; when
+    states are not stored only this series survives.
     """
 
     U: np.ndarray | None
@@ -225,25 +225,6 @@ def run_primal_fom(ops: BlockOperators, grid: TimeGrid,
         if store_states:
             U[m], P[m] = u, p
     traj = Trajectory(U, P, goal_series=goal_series)
-    traj.solve_stats = _stats(system)
-    traj.wall_time = time.perf_counter() - start
-    return traj
-
-
-@_one_blas_thread()
-def run_dual_fom(ops: BlockOperators, grid: TimeGrid,
-                 solver: LinearSolverConfig | None = None) -> Trajectory:
-    """Sweep the adjoint problem backward from the zero terminal condition."""
-    start = time.perf_counter()
-    M = grid.num_elements
-    system = StepSystem(ops, grid.k, solver)
-    Zu = np.zeros((M + 1, ops.n_u))
-    Zp = np.zeros((M + 1, ops.n_p))
-    zu, zp = Zu[M], Zp[M]
-    for m in range(M - 1, -1, -1):
-        zu, zp = system.solve_dual(zu, zp)
-        Zu[m], Zp[m] = zu, zp
-    traj = Trajectory(Zu, Zp)
     traj.solve_stats = _stats(system)
     traj.wall_time = time.perf_counter() - start
     return traj

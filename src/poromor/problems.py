@@ -97,10 +97,7 @@ def mandel_spec(cells=(80, 16), steps=5000, t_end=5.0e6) -> ProblemSpec:
         goal_tag=BoundaryTag.BOTTOM,
         neumann_tags=(BoundaryTag.TOP, BoundaryTag.RIGHT),
         solver=LinearSolverConfig(method=SolverMethod.DIRECT),
-        # the stopping check stays suppressed through the extra-enrichment
-        # phase: the estimate underestimates severely before the dual bases
-        # have seen the late-dual transient
-        moredwr=MoreDwrConfig(extra_dual_iterations=5, min_iterations=5),
+        moredwr=MoreDwrConfig(extra_dual_iterations=5),
     )
 
 
@@ -122,7 +119,7 @@ def footing_spec(cells=(16, 16, 16), steps=5000, t_end=5.0e6) -> ProblemSpec:
         # perfbench/workloads.make_spec passes no solver.method, so the
         # benchmark's footing workload takes its solver from this default
         solver=LinearSolverConfig(method=SolverMethod.DIRECT),
-        moredwr=MoreDwrConfig(extra_dual_iterations=8, min_iterations=8),
+        moredwr=MoreDwrConfig(extra_dual_iterations=8),
     )
 
 
@@ -183,7 +180,6 @@ CONFIG_KEYS: dict[str, Callable[[str], object]] = {
     "tol": _parse_finite,
     "solver.method": _parse_choice(SolverMethod),
     "moredwr.extra_dual_iterations": int,
-    "moredwr.min_iterations": int,
     "material.compressibility_modulus": _parse_finite,
     "material.biot_alpha": _parse_finite,
     "material.viscosity": _parse_finite,

@@ -14,7 +14,8 @@ def mandel_small():
 
 @pytest.fixture(scope="session")
 def mandel_small_fom(mandel_small):
-    from poromor.fom import evaluate_goal, run_dual_fom, run_primal_fom
+    from poromor.fom import evaluate_goal, run_primal_fom
+    from reference_setup import run_dual_fom
 
     _, ops, grid = mandel_small
     primal = run_primal_fom(ops, grid)

@@ -11,6 +11,8 @@ and ``poromor.linsolve`` are checked byte for byte.
   Dirichlet dofs with unit diagonals, which the basis E replaced.
 * ``symmetric_permutation`` gathers the columns of a CSC copy and re-sorts
   the relabelled rows of every column.
+* ``run_dual_fom`` sweeps the whole full-order adjoint history, which the
+  adaptive loop never forms.
 """
 
 import numpy as np
@@ -58,6 +60,20 @@ def symmetric_permutation(matrix, perm):
     permuted.has_sorted_indices = False
     permuted.sort_indices()
     return permuted
+
+
+def run_dual_fom(ops, grid, solver=None):
+    """Sweep the adjoint problem backward from the zero terminal condition:
+    row m holds the adjoint state on temporal element I_{m+1}."""
+    from poromor.fom import StepSystem, Trajectory
+
+    M = grid.num_elements
+    system = StepSystem(ops, grid.k, solver)
+    Zu = np.zeros((M + 1, ops.n_u))
+    Zp = np.zeros((M + 1, ops.n_p))
+    for m in range(M - 1, -1, -1):
+        Zu[m], Zp[m] = system.solve_dual(Zu[m + 1], Zp[m + 1])
+    return Trajectory(Zu, Zp)
 
 
 def patch_assembly(monkeypatch):

@@ -13,7 +13,7 @@ from poromor.linsolve import SolverMethod
 from poromor.problems import build_problem, footing_spec, mandel_spec
 from poromor.rom import project_operators, solve_dual_rom, solve_primal_rom
 
-FAST = MoreDwrConfig(tol_rel=0.01, extra_dual_iterations=5, min_iterations=0)
+FAST = MoreDwrConfig(tol_rel=0.01, extra_dual_iterations=5)
 
 
 def test_initialize_bases_counts(mandel_small):
@@ -38,7 +38,7 @@ def test_zero_traction_trivial_convergence():
 
 def test_loose_tolerance_stops_after_first_estimate(mandel_small):
     _, ops, grid = mandel_small
-    config = dataclasses.replace(FAST, tol_rel=1.0e6)
+    config = dataclasses.replace(FAST, tol_rel=1.0e6, extra_dual_iterations=0)
     result = run_moredwr(ops, grid, config)
     assert result.record.converged
     assert len(result.record.iterations) == 1
@@ -110,10 +110,10 @@ def test_reproducibility(mandel_small):
 
 
 def test_nonconvergence_reported_not_raised(caplog):
-    # M = 3 steps: the default cap of max(M, min_iterations + 1) = 3
+    # M = 3 steps: the cap of max(M, extra_dual_iterations + 1) = 3
     # iterations stops the run at eta_rel ~ 5e-6
     ops, grid = build_problem(mandel_spec(cells=(4, 2), steps=3))
-    config = dataclasses.replace(FAST, tol_rel=1e-14)
+    config = dataclasses.replace(FAST, tol_rel=1e-14, extra_dual_iterations=0)
     caplog.set_level(logging.INFO, logger="poromor.adaptive")
     result = run_moredwr(ops, grid, config)
     assert not result.record.converged
@@ -130,9 +130,9 @@ def test_nonconvergence_reported_not_raised(caplog):
         ["tolerance not reached within 3 iterations"]
 
 
-def test_min_iterations_suppresses_stopping(mandel_small):
+def test_no_stop_while_dual_is_enriched(mandel_small):
     _, ops, grid = mandel_small
-    config = dataclasses.replace(FAST, tol_rel=1.0e6, min_iterations=3)
+    config = dataclasses.replace(FAST, tol_rel=1.0e6, extra_dual_iterations=3)
     result = run_moredwr(ops, grid, config)
     assert result.record.converged
     assert len(result.record.iterations) == 4  # first allowed stop
@@ -140,7 +140,9 @@ def test_min_iterations_suppresses_stopping(mandel_small):
 
 def test_extra_dual_disabled_changes_accounting(mandel_small):
     _, ops, grid = mandel_small
-    # at tol 1% both runs enrich once (at 5% neither would)
+    # at tol 1% the run without extra dual steps enriches once (at 5% it
+    # would not), the run with them in each of its five iterations without
+    # a stop
     on = run_moredwr(ops, grid, FAST)
     off = run_moredwr(ops, grid, dataclasses.replace(
         FAST, extra_dual_iterations=0))

@@ -69,8 +69,9 @@ def test_unknown_key_rejected_with_line(tmp_path):
     # all keys but the first are retired: GMRES always runs on the
     # Jacobi-scaled system, its tolerance, restart length and iteration cap
     # are linsolve constants, no equation reads a density, the POD energy
-    # thresholds and the extra dual step count are adaptive constants, and
-    # the adaptive loop's cap is always max(steps, min_iterations + 1)
+    # thresholds and the extra dual step count are adaptive constants, the
+    # adaptive loop's cap is always max(steps, extra_dual_iterations + 1),
+    # and the loop never stops while it enriches the dual
     for line in ("bogus_key = 3", "solver.preconditioner = jacobi",
                  "solver.gmres_tolerance = 5e-8", "solver.gmres_restart = 100",
                  "solver.max_iterations = 5000", "material.density = 1.0",
@@ -79,7 +80,8 @@ def test_unknown_key_rejected_with_line(tmp_path):
                  "moredwr.energy_dual_u = 0.999999999",
                  "moredwr.energy_dual_p = 0.999999999",
                  "moredwr.extra_dual_steps = 5",
-                 "moredwr.max_iterations = 5000"):
+                 "moredwr.max_iterations = 5000",
+                 "moredwr.min_iterations = 5"):
         cfg.write_text(f"problem = mandel\n{line}\n")
         with pytest.raises(ConfigError) as err:
             parse_config(cfg)
@@ -159,7 +161,7 @@ def test_cli_fom_and_moredwr_roundtrip(tmp_path):
     rom_dir = tmp_path / "rom"
     args = ["moredwr", "--problem", "mandel", "--cells", "4x2", "--steps",
             "20", "--tol", "0.02", "--reference", str(fom_dir),
-            "--min-iterations", "0", "--out", str(rom_dir)]
+            "--out", str(rom_dir)]
     assert main(args) == 0
     summary = reports.read_summary(rom_dir)
     assert summary["status"] == "converged"
@@ -222,6 +224,15 @@ def test_cli_config_error_exit_code(tmp_path):
     assert code == 2
 
 
+def test_cli_retired_min_iterations_flag_exit_code(tmp_path):
+    # retired: the loop takes no stop while it enriches the dual, so
+    # moredwr.extra_dual_iterations is its one count
+    with pytest.raises(SystemExit) as exc:
+        main(["moredwr", "--problem", "mandel", "--cells", "4x2",
+              "--min-iterations", "0", "--out", str(tmp_path / "x")])
+    assert exc.value.code == 2
+
+
 @pytest.mark.parametrize("key, value", [
     ("material.traction_magnitude", "nan"), ("material.viscosity", "inf"),
     ("material.permeability", "nan"), ("t_end", "inf"), ("tol", "nan")])
@@ -241,12 +252,11 @@ def test_cli_non_finite_value_exit_code(tmp_path, capsys, key, value):
 
 
 def test_cli_nonconvergence_exit_code_and_partial_outputs(tmp_path):
-    # M = 3 steps: the default cap of max(M, min_iterations + 1) = 3
-    # iterations stops the run at eta_rel ~ 5e-6
+    # M = 3 steps and Mandel's extra_dual_iterations = 5: the cap of
+    # max(M, extra_dual_iterations + 1) = 6 iterations stops the run
     out = tmp_path / "nc"
     code = main(["moredwr", "--problem", "mandel", "--cells", "4x2",
-                 "--steps", "3", "--tol", "1e-12", "--min-iterations", "0",
-                 "--out", str(out)])
+                 "--steps", "3", "--tol", "1e-12", "--out", str(out)])
     assert code == 4
     summary = reports.read_summary(out)
     assert summary["status"] == "not_converged"
@@ -255,8 +265,8 @@ def test_cli_nonconvergence_exit_code_and_partial_outputs(tmp_path):
 
 
 def test_cli_short_run_can_converge(tmp_path):
-    # M = 5 steps and Mandel's min_iterations = 5: the default cap leaves
-    # one iteration after the suppressed ones
+    # M = 5 steps and Mandel's extra_dual_iterations = 5: the cap leaves
+    # one iteration after those that enrich the dual
     out = tmp_path / "short"
     code = main(["moredwr", "--problem", "mandel", "--cells", "4x2",
                  "--steps", "5", "--tol", "0.5", "--out", str(out)])
@@ -333,8 +343,7 @@ def test_cli_reference_fingerprint_guard(tmp_path):
 def test_cli_moredwr_without_reference(tmp_path):
     out = tmp_path / "noref"
     assert main(["moredwr", "--problem", "mandel", "--cells", "4x2",
-                 "--steps", "20", "--tol", "0.05", "--min-iterations", "0",
-                 "--out", str(out)]) == 0
+                 "--steps", "20", "--tol", "0.05", "--out", str(out)]) == 0
     summary = reports.read_summary(out)
     assert summary["e_rel_pct"] == ""
     assert summary["I_eff"] == ""
@@ -349,8 +358,8 @@ def test_cli_no_extra_dual_enrichment(tmp_path):
     for flags in ([], ["--no-extra-dual-enrichment"]):
         out = tmp_path / f"run{len(flags)}"
         assert main(["moredwr", "--problem", "mandel", "--cells", "4x2",
-                     "--steps", "20", "--tol", "0.02", "--min-iterations",
-                     "0", *flags, "--out", str(out)]) == 0
+                     "--steps", "20", "--tol", "0.02", *flags,
+                     "--out", str(out)]) == 0
         with open(out / reports.ITERATIONS_CSV) as handle:
             rows = len(list(csv.DictReader(handle)))
         runs.append((int(reports.read_summary(out)["fom_solves"]), rows))
@@ -372,8 +381,7 @@ def test_compare_table(tmp_path):
     for i, tol in enumerate(("0.20", "0.02")):
         out = tmp_path / f"run{i}"
         assert main(["moredwr", "--problem", "mandel", "--cells", "4x2",
-                     "--steps", "20", "--tol", tol, "--min-iterations", "0",
-                     "--out", str(out)]) == 0
+                     "--steps", "20", "--tol", tol, "--out", str(out)]) == 0
         dirs.append(str(out))
     assert main(["compare", *dirs, "--out", str(tmp_path / "cmp")]) == 0
     with open(tmp_path / "cmp" / "comparison.csv") as handle:
@@ -404,8 +412,7 @@ def test_compare_rejects_mixed_problems(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     for out, cells in ((a, "4x2"), (b, "8x4")):
         assert main(["moredwr", "--problem", "mandel", "--cells", cells,
-                     "--steps", "20", "--tol", "0.5", "--min-iterations",
-                     "0", "--out", str(out)]) == 0
+                     "--steps", "20", "--tol", "0.5", "--out", str(out)]) == 0
     with pytest.raises(ValueError):
         reports.comparison_table([a, b])
 
@@ -533,7 +540,7 @@ def test_cli_reference_cut_goal_series_exit_code(tmp_path, capsys, mandel_fom_bu
 def test_compare_summary_lacking_tolerance_exit_code(tmp_path, capsys):
     out = tmp_path / "rom"
     assert main(["moredwr", "--cells", "4x2", "--steps", "20", "--tol", "0.5",
-                 "--min-iterations", "0", "--out", str(out)]) == 0
+                 "--out", str(out)]) == 0
     rewrite_csv(out / reports.SUMMARY_CSV, drop_column("tol_rel_pct"))
     capsys.readouterr()
     assert main(["compare", str(out)]) == 2
@@ -544,7 +551,7 @@ def test_compare_summary_lacking_tolerance_exit_code(tmp_path, capsys):
 def test_compare_non_numeric_tolerance_exit_code(tmp_path, capsys):
     out = tmp_path / "rom"
     assert main(["moredwr", "--cells", "4x2", "--steps", "20", "--tol", "0.5",
-                 "--min-iterations", "0", "--out", str(out)]) == 0
+                 "--out", str(out)]) == 0
     rewrite_csv(out / reports.SUMMARY_CSV, set_cell("tol_rel_pct", 2, "abc"))
     capsys.readouterr()
     assert main(["compare", str(out)]) == 2

@@ -5,10 +5,11 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from poromor.fom import (StepSystem, TimeGrid, evaluate_goal, run_dual_fom,
-                         run_primal_fom, Trajectory)
+from poromor.fom import (StepSystem, TimeGrid, evaluate_goal, run_primal_fom,
+                         Trajectory)
 from poromor.linsolve import Factorization, LinearSolverConfig, SolverMethod
 from poromor.problems import build_problem, footing_spec, mandel_spec
+from reference_setup import run_dual_fom
 
 
 def zero_traction_ops():
