@@ -70,9 +70,13 @@ class MaterialParams:
             raise ValueError("biot_alpha must lie in [0, 1]")
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class BlockOperators:
     """Assembled sparse blocks, load and goal vectors, and factor ordering.
+
+    The operators are immutable after assembly: no field can be reassigned,
+    and they hash and compare by identity, which keys the step matrix's
+    factor that every :class:`~poromor.fom.StepSystem` on them shares.
 
     Operators leave :func:`assemble_operators` in the subspace of
     :func:`symmetry_fold`: the Dirichlet dofs are no unknowns, and on the

@@ -5,7 +5,9 @@ with the flow row (mass + k * Darcy stiffness).  Monolithic vectors are
 ordered displacement first, pressure second, over the free dofs: the
 Dirichlet dofs are no unknowns (:mod:`poromor.assembly`).  The adjoint
 problem runs backward in time; its step matrix is the exact transpose of
-the primal one.
+the primal one.  The step matrix is factored once per operators and step
+size: every :class:`StepSystem` built on the same operators, the reference
+sweep and each adaptive run alike, shares that factor.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import functools
 import math
 import time
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,6 +33,11 @@ __all__ = [
     "run_primal_fom",
     "evaluate_goal",
 ]
+
+# the Jacobi scale and the factor of each operators' step matrix, by
+# (k, solver method); an entry dies with its operators.  A caller that
+# patches the factorization therefore needs operators no system has used
+_FACTORS = weakref.WeakKeyDictionary()
 
 
 @dataclass(frozen=True)
@@ -80,20 +88,22 @@ class Trajectory:
 
 
 class StepSystem:
-    """Monolithic step operator shared across all solves of one run.
+    """Monolithic step operator of one run.
 
     Primal step:  S [u_m; p_m] = [f; M p_{m-1} + D u_{m-1}]
     Dual step:    S^T [z_u; z_p] = [D^T z_p_next; M z_p_next + k g]
     on the free dofs alone: no row of S holds a constraint.
 
-    Both methods factor the Jacobi-scaled matrix D S D once: exactly for
-    the direct method, in the operators' ``ordering`` (SuperLU's
-    minimum-degree order where it is None), and incompletely to
-    precondition GMRES.  Dual solves use the same factor transposed.
-    GMRES also keeps one recycled Krylov space per direction, of S for
-    primal and S^T for dual steps, which each solve reads and updates.
-    Every solve starts from the state it steps from: GMRES iterates from
-    it, and a direct solve adds one LU-solved increment to it.
+    Both methods factor the Jacobi-scaled matrix D S D once per operators
+    and step size, and every system built on the same operators shares
+    that factor: exact for the direct method, in the operators'
+    ``ordering`` (SuperLU's minimum-degree order where it is None), and
+    incomplete to precondition GMRES.  Dual solves use the same factor
+    transposed.  Each system keeps its own solve counts and, for GMRES,
+    one recycled Krylov space per direction, of S for primal and S^T for
+    dual steps, which each solve reads and updates.  Every solve starts
+    from the state it steps from: GMRES iterates from it, and a direct
+    solve adds one LU-solved increment to it.
     """
 
     def __init__(self, ops: BlockOperators, k: float,
@@ -105,6 +115,24 @@ class StepSystem:
 
         self._kK = self.k * ops.K_pp
         self._kg = self.k * ops.g_goal
+        key = (self.k, self.solver.method)
+        try:
+            self._scale, factor = _FACTORS[ops][key]
+        except KeyError:
+            self._scale, factor = entry = self._factor()
+            _FACTORS.setdefault(ops, {})[key] = entry
+        direct = self.solver.method is SolverMethod.DIRECT
+        self._lu: Factorization | None = factor if direct else None
+        self._ilu = None if direct else factor  # SuperLU's incomplete factor
+        # gmres_solve's recycled (C, U) pairs of S and of S^T
+        self._recycled = ([], [])
+        self.solve_count = 0
+        self.iteration_counts: list[int] = []
+
+    def _factor(self) -> tuple:
+        """The Jacobi scale of S and the factor of D S D, which
+        :data:`_FACTORS` keeps for every system on the same operators."""
+        ops = self.ops
         # dual_matrix - matrix^T is A_uu^T - A_uu in the (u, u) block and
         # exactly zero in the three others, which are built as transposes
         A = ops.A_uu
@@ -112,24 +140,16 @@ class StepSystem:
         if defect > 1e-12:
             raise AssertionError(
                 f"dual step matrix deviates from the primal transpose by {defect:.3e}")
-
-        self._lu: Factorization | None = None
-        self._ilu = None  # SuperLU's incomplete factor, for GMRES
-        # gmres_solve's recycled (C, U) pairs of S and of S^T
-        self._recycled = ([], [])
         # each factorization starts on a trimmed heap, once the set-up's
         # temporaries are freed
         if self.solver.method is SolverMethod.DIRECT:
             # S is built for the scaling only; the solves never read it
-            self._scale, scaled = jacobi_scaled(self._step_matrix(), ops.ordering)
+            scale, scaled = jacobi_scaled(self._step_matrix(), ops.ordering)
             release_heap()
-            self._lu = Factorization(scaled, ops.ordering)
-        else:
-            self._scale, scaled = jacobi_scaled(self.matrix)
-            release_heap()
-            self._ilu = incomplete_factorization(scaled)
-        self.solve_count = 0
-        self.iteration_counts: list[int] = []
+            return scale, Factorization(scaled, ops.ordering)
+        scale, scaled = jacobi_scaled(self.matrix)
+        release_heap()
+        return scale, incomplete_factorization(scaled)
 
     def _step_matrix(self) -> sp.csr_matrix:
         ops = self.ops

@@ -3,8 +3,9 @@ criterion 9 has a second, which checks its run against the full domain
 (all free dofs, unfolded).
 
 Run with ``pytest -v -s tests/test_acceptance.py``.  The heavy reference
-solves are shared through module-scoped fixtures.  The full module took
-48 s in one run on a quiet 2-core Xeon.  Criteria 9 and 10 share the
+solves are shared through module-scoped fixtures, and the runs on one
+problem share one factor of its step matrix.  The full module took 56 s
+in one run on a shared 2-core Xeon.  Criteria 9 and 10 share the
 footing 8^3/500 runs on the direct solver, folded by D4 (about 1.5 s);
 the same run on the full domain, criterion 9's cross-check, takes 19 s.
 """

@@ -1,13 +1,18 @@
 import dataclasses
+import gc
+import weakref
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from poromor import fom, linsolve
+from poromor.adaptive import run_moredwr
 from poromor.fom import (StepSystem, TimeGrid, evaluate_goal, run_primal_fom,
                          Trajectory)
-from poromor.linsolve import Factorization, LinearSolverConfig, SolverMethod
+from poromor.linsolve import (Factorization, FactorizationError,
+                              LinearSolverConfig, SolverMethod)
 from poromor.problems import build_problem, footing_spec, mandel_spec
 from reference_setup import run_dual_fom
 
@@ -248,3 +253,70 @@ def test_footing_desk_load_nonzero():
     ops, grid = build_problem(spec)
     traj = run_primal_fom(ops, grid, solver=spec.solver)
     assert np.abs(traj.P[1]).max() > 0.0
+
+
+@pytest.mark.parametrize("method", ["direct", "gmres"])
+@pytest.mark.parametrize("spec_of", [
+    lambda: mandel_spec(cells=(4, 2), steps=20),
+    lambda: footing_spec(cells=(4, 4, 4), steps=50)], ids=["mandel", "footing"])
+def test_one_factor_per_problem(spec_of, method, monkeypatch):
+    # the reference sweep and two adaptive runs on one operators factor
+    # once; each run keeps its own GMRES recycled spaces, so every result
+    # equals that of an adaptive run which factored for itself
+    spec = spec_of()
+    spec.solver = LinearSolverConfig(method=SolverMethod(method))
+    ops, grid = build_problem(spec)
+    fresh, _ = build_problem(spec)
+    calls = []
+
+    def counted(factor):
+        def wrapper(*args, **kwargs):
+            calls.append(factor.__name__)
+            return factor(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(linsolve.spla, "splu", counted(spla.splu))
+    monkeypatch.setattr(linsolve.spla, "spilu", counted(spla.spilu))
+    J_fom = evaluate_goal(run_primal_fom(ops, grid, spec.solver), grid)
+    shared = [run_moredwr(ops, grid, spec.moredwr, spec.solver).record
+              for _ in range(2)]
+    assert len(calls) == 1
+
+    alone = run_moredwr(fresh, grid, spec.moredwr, spec.solver).record
+    assert evaluate_goal(run_primal_fom(fresh, grid, spec.solver), grid) == J_fom
+    assert len(calls) == 2
+
+    def readings(record):
+        return (record.J_rom, record.eta_rel, record.fom_solves,
+                record.basis_sizes, [log.m_max for log in record.iterations],
+                record.gmres_mean_iterations)
+
+    assert readings(shared[0]) == readings(shared[1]) == readings(alone)
+
+
+def test_factor_lifetime_and_failure(monkeypatch):
+    ops, grid = build_problem(mandel_spec(cells=(4, 2), steps=3))
+    system = StepSystem(ops, grid.k)
+    assert StepSystem(ops, grid.k)._lu is system._lu
+    # operators with another goal are other operators, with their own factor
+    other = dataclasses.replace(ops, g_goal=np.zeros(ops.n_p))
+    assert StepSystem(other, grid.k)._lu is not system._lu
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        ops.A_uu = ops.A_uu.copy()
+    factor = weakref.ref(system._lu)
+    del system, ops
+    gc.collect()
+    assert factor() is None
+
+    # a failed factorization stores nothing: the next system factors anew
+    def fail(*args, **kwargs):
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(linsolve.spla, "splu", fail)
+    with pytest.raises(FactorizationError):
+        StepSystem(other, 2 * grid.k)
+    monkeypatch.undo()
+    u, p = StepSystem(other, 2 * grid.k).solve_primal(np.zeros(other.n_u),
+                                                      np.zeros(other.n_p))
+    assert np.all(np.isfinite(u)) and np.all(np.isfinite(p))
+    assert len(fom._FACTORS[other]) == 2

@@ -423,8 +423,11 @@ def test_heap_released_once_per_build_and_factorization(monkeypatch):
     StepSystem(ops, grid.k)
     StepSystem(ops, grid.k, GMRES)
     assert calls == [0, 0, 0]
+    # the reference sweep reuses the direct factor; a new step size factors
     run_primal_fom(ops, grid)
-    assert len(calls) == 4
+    assert len(calls) == 3
+    StepSystem(ops, 2 * grid.k)
+    assert calls == [0, 0, 0, 0]
 
 
 def test_malloc_trim_found_on_glibc(malloc_trim_lookup):
