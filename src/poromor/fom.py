@@ -8,6 +8,16 @@ problem runs backward in time; its step matrix is the exact transpose of
 the primal one.  The step matrix is factored once per operators and step
 size: every :class:`StepSystem` built on the same operators, the reference
 sweep and each adaptive run alike, shares that factor.
+
+A reference sweep that keeps no states needs only the goal series, and the
+steps couple only through the pressure row's n_p-vector D u + M p: after
+the first step the series follows an n_p-dimensional linear recurrence
+with the propagator G (:func:`run_primal_fom`).  Where the factor is
+direct, n_p < M and G is no larger than the factor, the sweep takes n_p
+block solves and one n_p x n_p product per step instead of M step solves.
+This is the same discrete scheme: on Mandel 40x8/5000 J agrees with the
+step sweep to 2.7e-13 relative and the series to 1.7e-13, on footing
+8^3/500 J to 1.5e-14.
 """
 
 from __future__ import annotations
@@ -38,6 +48,10 @@ __all__ = [
 # (k, solver method); an entry dies with its operators.  A caller that
 # patches the factorization therefore needs operators no system has used
 _FACTORS = weakref.WeakKeyDictionary()
+# columns of W = S^-1 [0; I] that one LU solve of the pressure propagator
+# takes: on Mandel 40x8 a column costs 0.18 ms in blocks of 32 against
+# 0.30 ms for a single solve, on 80x16 1.0 ms against 1.7 ms
+PROPAGATOR_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -229,10 +243,32 @@ class StepSystem:
 def run_primal_fom(ops: BlockOperators, grid: TimeGrid,
                    solver: LinearSolverConfig | None = None,
                    store_states: bool = True) -> Trajectory:
-    """Sweep the primal problem forward from the zero initial condition."""
+    """Sweep the primal problem forward from the zero initial condition.
+
+    With ``store_states`` every step is solved.  Without, the goal series
+    comes from the pressure propagator (:func:`_propagated_goal_series`):
+    after one step solve, goal_m = goal_{m-1} + h . dq and dq <- G dq,
+    wherever :func:`_propagates` finds that cheaper than the step sweep,
+    which it replaces up to rounding (1.7e-13 relative on Mandel
+    40x8/5000).  ``solve_stats["solves"]`` then reads 1.
+    """
     start = time.perf_counter()
     M = grid.num_elements
     system = StepSystem(ops, grid.k, solver)
+    if not store_states and _propagates(system, M):
+        traj = Trajectory(None, None,
+                          goal_series=_propagated_goal_series(system, M))
+    else:
+        traj = _step_sweep(system, M, store_states)
+    traj.solve_stats = _stats(system)
+    traj.wall_time = time.perf_counter() - start
+    return traj
+
+
+def _step_sweep(system: StepSystem, M: int, store_states: bool) -> Trajectory:
+    """M step solves from the zero state, keeping the goal series and, with
+    ``store_states``, every state."""
+    ops = system.ops
     goal_series = np.zeros(M + 1)
     U = P = None
     if store_states:
@@ -244,10 +280,51 @@ def run_primal_fom(ops: BlockOperators, grid: TimeGrid,
         goal_series[m] = ops.g_goal @ p
         if store_states:
             U[m], P[m] = u, p
-    traj = Trajectory(U, P, goal_series=goal_series)
-    traj.solve_stats = _stats(system)
-    traj.wall_time = time.perf_counter() - start
-    return traj
+    return Trajectory(U, P, goal_series=goal_series)
+
+
+def _propagates(system: StepSystem, M: int) -> bool:
+    """Whether the pressure propagator replaces the step sweep: only on a
+    direct factor, when its n_p block solves are fewer than the M steps
+    and G, n_p x n_p, is no larger than the factor, so that a product
+    with G reads no more than a solve does."""
+    n_p = system.ops.n_p
+    return (system._lu is not None and n_p < M
+            and n_p * n_p <= system._lu.nnz)
+
+
+def _propagated_goal_series(system: StepSystem, M: int) -> np.ndarray:
+    """The goal series g . p_m through the pressure propagator.
+
+    The load is constant, so the increment dx_m = x_m - x_{m-1} solves
+    S dx_m = [0; dq_{m-1}] with dq = D du + M dp: dx_m = W dq_{m-1} for
+    W = S^-1 [0; I].  Hence dq_m = G dq_{m-1} with G = [D M] W, and the
+    goal moves by g . dp_m = h . dq_{m-1} with h = W_p^T g.  The first
+    step is one solve from zero; W is solved PROPAGATOR_BLOCK columns at a
+    time, each block reduced at once to its columns of G and entries of
+    h, so W is never held whole.
+    """
+    ops = system.ops
+    n_u, n_p = ops.n_u, ops.n_p
+    goal_series = np.zeros(M + 1)
+    u, p = system.solve_primal(np.zeros(n_u), np.zeros(n_p))
+    goal_series[1] = ops.g_goal @ p
+    dq = ops.D_pu @ u + ops.M_pp @ p
+
+    d = system._scale
+    G, h = np.empty((n_p, n_p)), np.empty(n_p)
+    for j in range(0, n_p, PROPAGATOR_BLOCK):
+        cols = np.arange(j, min(j + PROPAGATOR_BLOCK, n_p))
+        rhs = np.zeros((n_u + n_p, cols.size))
+        rhs[n_u + cols, cols - j] = d[n_u + cols]
+        W = d[:, None] * system._lu.solve(rhs)
+        W_u, W_p = W[:n_u], W[n_u:]
+        G[:, cols] = ops.D_pu @ W_u + ops.M_pp @ W_p
+        h[cols] = ops.g_goal @ W_p
+    for m in range(2, M + 1):
+        goal_series[m] = goal_series[m - 1] + h @ dq
+        dq = G @ dq
+    return goal_series
 
 
 def _stats(system: StepSystem) -> dict:

@@ -185,6 +185,12 @@ class Factorization:
         except _FACTOR_FAILURES as exc:
             raise FactorizationError(str(exc) or "out of memory") from exc
 
+    @property
+    def nnz(self) -> int:
+        """Entries SuperLU stores for L and U; read without copying them,
+        as ``L.nnz`` would."""
+        return self._lu.nnz
+
     def solve(self, rhs: np.ndarray, transpose: bool = False) -> np.ndarray:
         trans = "T" if transpose else "N"
         if self._perm is None:

@@ -229,12 +229,52 @@ def test_goal_series_matches_states(mandel_small):
     np.testing.assert_allclose(traj.goal_series, expect, rtol=1e-12)
 
 
-def test_store_states_false_keeps_goal_series(mandel_small):
-    _, ops, grid = mandel_small
+def test_store_states_false_keeps_goal_series():
+    # 10 steps on Mandel 4x2 (n_p = 12) are fewer than the propagator's
+    # block solves, so the lean sweep steps too and its series is bitwise
+    # that of the stored one
+    ops, grid = build_problem(mandel_spec(cells=(4, 2), steps=10))
     lean = run_primal_fom(ops, grid, store_states=False)
     full = run_primal_fom(ops, grid)
+    assert lean.solve_stats["solves"] == grid.num_elements
     np.testing.assert_array_equal(lean.goal_series, full.goal_series)
     assert lean.U is None
+
+
+@pytest.mark.parametrize("spec_of", [
+    lambda: mandel_spec(cells=(4, 2), steps=20),
+    lambda: mandel_spec(cells=(40, 8), steps=500),
+    lambda: footing_spec(cells=(4, 4, 4), steps=50),
+    lambda: footing_spec(cells=(8, 8, 8), steps=500),
+], ids=["mandel-4x2", "mandel-40x8", "footing-4", "footing-8"])
+def test_propagator_matches_step_sweep(spec_of):
+    # without stored states these sweeps take the pressure propagator: one
+    # step solve, then dense products with G.  Measured: series within
+    # 1.4e-13 relative and J within 2.6e-13 (Mandel 40x8/500)
+    ops, grid = build_problem(spec_of())
+    lean = run_primal_fom(ops, grid, store_states=False)
+    full = run_primal_fom(ops, grid)
+    assert lean.solve_stats["solves"] == 1
+    assert full.solve_stats["solves"] == grid.num_elements
+    scale = np.abs(full.goal_series).max()
+    assert np.abs(lean.goal_series - full.goal_series).max() <= 1e-12 * scale
+    J = evaluate_goal(full, grid)
+    assert abs(evaluate_goal(lean, grid) - J) <= 1e-12 * abs(J)
+
+
+@pytest.mark.parametrize("spec_of, method", [
+    (lambda: mandel_spec(cells=(80, 16), steps=2000), "direct"),
+    (lambda: footing_spec(cells=(6, 6, 6), steps=50), "direct"),
+    (lambda: mandel_spec(cells=(4, 2), steps=20), "gmres"),
+], ids=["mandel-80x16", "footing-6", "gmres"])
+def test_propagator_rule_keeps_stepping(spec_of, method):
+    # Mandel 80x16 has n_p = 1,360 < 2,000 steps, but G's n_p^2 = 1.85M
+    # entries would outgrow the factor's 1.39M; footing 6^3 has 168
+    # pressure dofs, more than its 50 steps; and GMRES has no exact factor
+    spec = spec_of()
+    ops, grid = build_problem(spec)
+    system = StepSystem(ops, grid.k, LinearSolverConfig(SolverMethod(method)))
+    assert not fom._propagates(system, grid.num_elements)
 
 
 def test_footing_gmres_step(footing_tiny):

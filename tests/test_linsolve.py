@@ -331,21 +331,27 @@ def blas_threads(count):
 
 
 def test_results_do_not_depend_on_blas_threads():
-    # n = 11792: OpenBLAS splits dot and gemv reductions of this length
-    # over its threads, which moves J_rom and eta in the last digits
-    spec = mandel_spec(cells=(80, 16), steps=40)
-    ops, grid = build_problem(spec)
+    # 80x16/40, n = 11792: OpenBLAS splits dot and gemv reductions of this
+    # length over its threads, which moves J_rom and eta in the last
+    # digits.  40x8/400 takes the reference through the pressure
+    # propagator instead, so its products G dq are covered too
+    for cells, steps, solves in (((80, 16), 40, 40), ((40, 8), 400, 1)):
+        spec = mandel_spec(cells=cells, steps=steps)
+        ops, grid = build_problem(spec)
 
-    def run(threads):
-        with blas_threads(threads):
-            trajectory = run_primal_fom(ops, grid, solver=spec.solver,
-                                        store_states=False)
-            record = run_moredwr(ops, grid, spec.moredwr,
-                                 solver=spec.solver).record
-        return (evaluate_goal(trajectory, grid), record.J_rom, record.eta,
-                [log.m_max for log in record.iterations])
+        def run(threads):
+            with blas_threads(threads):
+                trajectory = run_primal_fom(ops, grid, solver=spec.solver,
+                                            store_states=False)
+                record = run_moredwr(ops, grid, spec.moredwr,
+                                     solver=spec.solver).record
+            return (trajectory.solve_stats["solves"],
+                    evaluate_goal(trajectory, grid), record.J_rom, record.eta,
+                    [log.m_max for log in record.iterations])
 
-    assert run(2) == run(1)
+        one = run(1)
+        assert one[0] == solves
+        assert run(2) == one
 
 
 def test_sweeps_restore_the_callers_blas_threads(mandel_small, monkeypatch):
