@@ -8,6 +8,7 @@ Exit codes: 0 success, 2 configuration error or unusable file path,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -33,8 +34,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="cells per axis, e.g. 80x16 or 8x8x8")
     common.add_argument("--steps", type=int, metavar="N",
                         help="number of temporal elements")
-    common.add_argument("--solver", choices=["direct", "gmres"],
-                        help="linear solver for the step systems")
     common.add_argument("--out", metavar="DIR", required=True,
                         help="output directory for the report bundle")
 
@@ -68,13 +67,13 @@ def _spec_from_args(args) -> "ProblemSpec":
         "problem": args.problem,
         "cells": args.cells,
         "steps": args.steps,
-        "solver.method": args.solver,
     }
     if getattr(args, "tol", None) is not None:
         overrides["tol"] = args.tol
+    spec = parse_config(args.config, overrides)
     if getattr(args, "no_extra_dual_enrichment", False):
-        overrides["moredwr.extra_dual_iterations"] = 0
-    return parse_config(args.config, overrides)
+        spec.moredwr = dataclasses.replace(spec.moredwr, extra_dual_iterations=0)
+    return spec
 
 
 def cmd_fom(args) -> int:
@@ -95,8 +94,6 @@ def cmd_fom(args) -> int:
         "status": "ok",
         "J_fom": J,
         "wall_time_s": trajectory.wall_time,
-        "gmres_mean_iterations": trajectory.solve_stats.get(
-            "gmres_mean_iterations"),
     }
     reports.write_summary(args.out, summary)
     print(f"full-order run: J = {J:.10e}, wall time {trajectory.wall_time:.2f} s")
@@ -175,7 +172,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     from .estimator import DegenerateNormalizationError
-    from .linsolve import ConvergenceError, FactorizationError
+    from .linsolve import FactorizationError
     from .problems import ConfigError
     from .rom import DegenerateBasisError
 
@@ -184,7 +181,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (FactorizationError, ConvergenceError) as exc:
+    except FactorizationError as exc:
         print(f"linear solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     except (DegenerateBasisError, DegenerateNormalizationError) as exc:
@@ -193,8 +190,6 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"file error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except SystemExit:
-        raise
     except ValueError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -11,7 +11,9 @@ applying its transpose for the dual problem.  Every GMRES solve runs
 with the module constants GMRES_TOLERANCE (1e-8), GMRES_RESTART (20, the
 cycle length m and the recycled space's size k) and GMRES_MAX_ITERATIONS
 (5000), on a factor built with ILU_DROP_TOLERANCE (3e-3) and
-ILU_FILL_FACTOR (3).
+ILU_FILL_FACTOR (3).  Every problem and the command line run the direct
+path; only the Python API reaches GMRES, through
+``LinearSolverConfig(SolverMethod.GMRES)``.
 
 ``_one_blas_thread`` runs the sweeps' dense kernels on one OpenBLAS thread.
 """

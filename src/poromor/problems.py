@@ -23,7 +23,7 @@ from .assembly import BlockOperators, MaterialParams, assemble_operators
 from .discretization import (BoundaryTag, ProblemKind, build_structured_mesh,
                              build_taylor_hood_space, tag_boundaries)
 from .fom import TimeGrid
-from .linsolve import LinearSolverConfig, SolverMethod, release_heap
+from .linsolve import LinearSolverConfig, release_heap
 
 __all__ = [
     "ProblemSpec",
@@ -96,14 +96,12 @@ def mandel_spec(cells=(80, 16), steps=5000, t_end=5.0e6) -> ProblemSpec:
         traction_direction=(0.0, 1.0),
         goal_tag=BoundaryTag.BOTTOM,
         neumann_tags=(BoundaryTag.TOP, BoundaryTag.RIGHT),
-        solver=LinearSolverConfig(method=SolverMethod.DIRECT),
         moredwr=MoreDwrConfig(extra_dual_iterations=5),
     )
 
 
 def footing_spec(cells=(16, 16, 16), steps=5000, t_end=5.0e6) -> ProblemSpec:
-    """3D footing benchmark; the direct solver, in nested-dissection order,
-    by default."""
+    """3D footing benchmark, factored in nested-dissection order."""
     return ProblemSpec(
         kind=ProblemKind.FOOTING,
         origin=(-32.0, -32.0, 0.0),
@@ -116,9 +114,6 @@ def footing_spec(cells=(16, 16, 16), steps=5000, t_end=5.0e6) -> ProblemSpec:
         traction_direction=(0.0, 0.0, 1.0),
         goal_tag=BoundaryTag.COMPRESSION,
         neumann_tags=(BoundaryTag.TOP, BoundaryTag.COMPRESSION, BoundaryTag.WALL),
-        # perfbench/workloads.make_spec passes no solver.method, so the
-        # benchmark's footing workload takes its solver from this default
-        solver=LinearSolverConfig(method=SolverMethod.DIRECT),
         moredwr=MoreDwrConfig(extra_dual_iterations=8),
     )
 
@@ -169,17 +164,14 @@ def _parse_choice(enum):
 
 
 # every key and the parser of its value.  ``problem`` selects the defaults;
-# a dotted key ``<section>.<field>`` sets that field of the spec's
-# ``solver``, ``moredwr`` or ``material``; each other key sets the field
-# that _SPEC_FIELDS names.
+# a dotted key ``material.<field>`` sets that field of the spec's
+# ``material``; each other key sets the field that _SPEC_FIELDS names.
 CONFIG_KEYS: dict[str, Callable[[str], object]] = {
     "problem": _parse_choice(ProblemKind),
     "cells": _parse_cells,
     "steps": int,
     "t_end": _parse_finite,
     "tol": _parse_finite,
-    "solver.method": _parse_choice(SolverMethod),
-    "moredwr.extra_dual_iterations": int,
     "material.compressibility_modulus": _parse_finite,
     "material.biot_alpha": _parse_finite,
     "material.viscosity": _parse_finite,

@@ -132,7 +132,6 @@ def summary_from_record(record: RunRecord, fingerprint: str) -> dict:
         "J_rom": record.J_rom,
         "J_fom": record.J_fom,
         "wall_time_s": record.wall_time,
-        "gmres_mean_iterations": record.gmres_mean_iterations,
     }
 
 

@@ -11,7 +11,7 @@ from poromor.cli import main
 from poromor.discretization import BoundaryTag, ProblemKind
 from poromor.estimator import DegenerateNormalizationError
 from poromor.assembly import MaterialParams
-from poromor.linsolve import LinearSolverConfig, SolverMethod
+from poromor.linsolve import SolverMethod
 from poromor.problems import (CONFIG_KEYS, ConfigError, parse_config,
                               read_config_file)
 from poromor.rom import DegenerateBasisError
@@ -90,7 +90,7 @@ def test_unknown_key_rejected_with_line(tmp_path):
                      "--out", str(tmp_path / "out")]) == 2
 
 
-@pytest.mark.parametrize("line", ["cells = 8y4", "solver.method = lu"])
+@pytest.mark.parametrize("line", ["cells = 8y4", "problem = cube"])
 def test_bad_value_rejected_with_line(tmp_path, line):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"problem = mandel\n{line}\n")
@@ -100,13 +100,9 @@ def test_bad_value_rejected_with_line(tmp_path, line):
 
 
 def test_config_keys_name_dataclass_fields():
-    sections = {"solver": LinearSolverConfig, "moredwr": adaptive.MoreDwrConfig,
-                "material": MaterialParams}
-    fields = {f"{section}.{f.name}" for section, cls in sections.items()
-              for f in dataclasses.fields(cls)}
-    dotted = {key for key in CONFIG_KEYS if "." in key}
-    assert dotted <= fields
-    assert fields - dotted == {"moredwr.tol_rel"}  # set by the key ``tol``
+    # material is the one section with keys; ``tol`` sets moredwr.tol_rel
+    fields = {f"material.{f.name}" for f in dataclasses.fields(MaterialParams)}
+    assert {key for key in CONFIG_KEYS if "." in key} == fields
     assert "tol" in CONFIG_KEYS
 
 
@@ -126,14 +122,10 @@ def test_config_file_parsing(tmp_path):
         "problem = mandel\n"
         "cells = 8x4   # inline comment\n"
         "steps = 10\n"
-        "solver.method = gmres\n"
-        "material.lame_mu = 2e8\n"
-        "moredwr.extra_dual_iterations = 3\n")
+        "material.lame_mu = 2e8\n")
     spec = parse_config(cfg)
     assert spec.cells_per_axis == (8, 4)
-    assert spec.solver.method is SolverMethod.GMRES
     assert spec.material.lame_mu == pytest.approx(2.0e8)
-    assert spec.moredwr.extra_dual_iterations == 3
 
 
 def test_malformed_line_rejected(tmp_path):
@@ -224,9 +216,33 @@ def test_cli_config_error_exit_code(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("command", ["fom", "moredwr"])
+@pytest.mark.parametrize("line", ["solver.method = gmres",
+                                  "moredwr.extra_dual_iterations = 3"])
+def test_retired_solver_and_extra_dual_options_rejected(tmp_path, capsys,
+                                                        command, line):
+    # retired: every problem runs the direct solver, and the extra dual
+    # count is a constant of each problem (--no-extra-dual-enrichment
+    # sets it to 0); the key, in a file, and the flag both exit 2
+    key = line.split(" = ")[0]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"problem = mandel\n{line}\n")
+    with pytest.raises(ConfigError) as err:
+        parse_config(cfg)
+    assert err.value.line == 2
+    assert main([command, "--config", str(cfg),
+                 "--out", str(tmp_path / "x")]) == 2
+    assert repr(key) in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--cells", "4x2", "--solver", "gmres",
+              "--out", str(tmp_path / "y")])
+    assert exc.value.code == 2
+    assert "--solver" in capsys.readouterr().err
+
+
 def test_cli_retired_min_iterations_flag_exit_code(tmp_path):
-    # retired: the loop takes no stop while it enriches the dual, so
-    # moredwr.extra_dual_iterations is its one count
+    # retired: the loop takes no stop while it enriches the dual, so the
+    # problem's extra-dual count is its one count
     with pytest.raises(SystemExit) as exc:
         main(["moredwr", "--problem", "mandel", "--cells", "4x2",
               "--min-iterations", "0", "--out", str(tmp_path / "x")])
@@ -237,8 +253,8 @@ def test_cli_retired_min_iterations_flag_exit_code(tmp_path):
     ("material.traction_magnitude", "nan"), ("material.viscosity", "inf"),
     ("material.permeability", "nan"), ("t_end", "inf"), ("tol", "nan")])
 def test_cli_non_finite_value_exit_code(tmp_path, capsys, key, value):
-    # unchecked, each reaches the solver as a nan goal, a zero Darcy block,
-    # a singular factor or GMRES run to its cap
+    # unchecked, each reaches the solver as a nan goal, a zero Darcy block
+    # or a singular factor
     args = ["moredwr", "--problem", "mandel", "--cells", "4x2", "--steps",
             "20", "--out", str(tmp_path / "x")]
     if key == "tol":
@@ -275,41 +291,18 @@ def test_cli_short_run_can_converge(tmp_path):
         assert len(list(csv.DictReader(fh))) == 6
 
 
-def test_cli_solver_failure_exit_code(tmp_path, monkeypatch):
-    monkeypatch.setattr(linsolve, "GMRES_MAX_ITERATIONS", 1)
-    monkeypatch.setattr(linsolve, "GMRES_RESTART", 1)
-    code = main(["fom", "--problem", "mandel", "--cells", "4x2", "--steps",
-                 "2", "--solver", "gmres", "--out", str(tmp_path / "sf")])
-    assert code == 3
-
-
-def test_cli_incomplete_factorization_failure_exit_code(tmp_path, monkeypatch,
-                                                        capsys):
-    def fail(*args, **kwargs):
-        raise RuntimeError("Factor is exactly singular")
-
-    monkeypatch.setattr(linsolve.spla, "spilu", fail)
-    code = main(["fom", "--problem", "mandel", "--cells", "4x2", "--steps",
-                 "2", "--solver", "gmres", "--out", str(tmp_path / "ilu")])
-    assert code == 3
-    assert "exactly singular" in capsys.readouterr().err
-
-
 @pytest.mark.parametrize("error", [
     MemoryError(), SystemError("gstrf was called with invalid arguments")],
     ids=["MemoryError", "SystemError"])
-@pytest.mark.parametrize("solver, factor", [("direct", "splu"),
-                                            ("gmres", "spilu")])
 def test_cli_out_of_memory_factorization_exit_code(tmp_path, monkeypatch,
-                                                   capsys, error, solver,
-                                                   factor):
+                                                   capsys, error):
     # what SuperLU raises when the factor's allocation fails
     def fail(*args, **kwargs):
         raise error
 
-    monkeypatch.setattr(linsolve.spla, factor, fail)
+    monkeypatch.setattr(linsolve.spla, "splu", fail)
     code = main(["fom", "--problem", "mandel", "--cells", "4x2", "--steps",
-                 "2", "--solver", solver, "--out", str(tmp_path / "oom")])
+                 "2", "--out", str(tmp_path / "oom")])
     assert code == 3
     assert "linear solver failure" in capsys.readouterr().err
 
@@ -415,6 +408,22 @@ def test_compare_rejects_mixed_problems(tmp_path):
                      "--steps", "20", "--tol", "0.5", "--out", str(out)]) == 0
     with pytest.raises(ValueError):
         reports.comparison_table([a, b])
+
+
+def test_summary_headers(tmp_path, mandel_fom_bundle):
+    def header(directory):
+        with open(directory / reports.SUMMARY_CSV, newline="") as handle:
+            return next(csv.reader(handle))
+
+    out = tmp_path / "rom"
+    assert main(["moredwr", "--cells", "4x2", "--steps", "20", "--reference",
+                 str(mandel_fom_bundle), "--out", str(out)]) == 0
+    assert header(mandel_fom_bundle) == [
+        "fingerprint", "run_kind", "status", "J_fom", "wall_time_s"]
+    assert header(out) == [
+        "fingerprint", "run_kind", "status", "tol_rel_pct", "e_rel_pct",
+        "speedup", "fom_solves", "rom_size", "I_eff", "I_ind", "eta_rel_pct",
+        "eta", "J_rom", "J_fom", "wall_time_s"]
 
 
 def test_summary_full_precision(tmp_path):

@@ -282,6 +282,39 @@ def test_gmres_cap_counts_arnoldi_steps(mandel_small, monkeypatch, cap,
     assert err.value.iterations == cap
 
 
+@pytest.fixture
+def mandel_two_steps():
+    # fresh operators: a system on them factors anew (fom._FACTORS)
+    return build_problem(mandel_spec(cells=(4, 2), steps=2))
+
+
+def test_gmres_run_nonconvergence_raises(mandel_two_steps, monkeypatch):
+    ops, grid = mandel_two_steps
+    monkeypatch.setattr(linsolve, "GMRES_MAX_ITERATIONS", 1)
+    monkeypatch.setattr(linsolve, "GMRES_RESTART", 1)
+    with pytest.raises(ConvergenceError):
+        run_primal_fom(ops, grid, solver=GMRES)
+
+
+@pytest.mark.parametrize("error, text", [
+    (RuntimeError("Factor is exactly singular"), "exactly singular"),
+    (MemoryError(), "out of memory"),
+    (SystemError("gstrf was called with invalid arguments"), "gstrf")],
+    ids=["RuntimeError", "MemoryError", "SystemError"])
+def test_gmres_run_incomplete_factorization_failure_raises(
+        mandel_two_steps, monkeypatch, error, text):
+    # what SuperLU's spilu raises on a singular factor or a failed
+    # allocation reaches the caller as a FactorizationError with its text
+    ops, grid = mandel_two_steps
+
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(linsolve.spla, "spilu", fail)
+    with pytest.raises(FactorizationError, match=text):
+        run_primal_fom(ops, grid, solver=GMRES)
+
+
 def test_jacobi_rejects_zero_diagonal():
     A = sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
     with pytest.raises(FactorizationError):
