@@ -94,6 +94,8 @@ def cmd_fom(args) -> int:
         "status": "ok",
         "J_fom": J,
         "wall_time_s": trajectory.wall_time,
+        # which reference a `moredwr --reference` speedup divides
+        "sweep": trajectory.solve_stats["sweep"],
     }
     reports.write_summary(args.out, summary)
     print(f"full-order run: J = {J:.10e}, wall time {trajectory.wall_time:.2f} s")

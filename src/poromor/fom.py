@@ -10,14 +10,16 @@ size: every :class:`StepSystem` built on the same operators, the reference
 sweep and each adaptive run alike, shares that factor.
 
 A reference sweep that keeps no states needs only the goal series, and the
-steps couple only through the pressure row's n_p-vector D u + M p: after
-the first step the series follows an n_p-dimensional linear recurrence
-with the propagator G (:func:`run_primal_fom`).  Where the factor is
-direct, n_p < M and G is no larger than the factor, the sweep takes n_p
-block solves and one n_p x n_p product per step instead of M step solves.
-This is the same discrete scheme: on Mandel 40x8/5000 J agrees with the
-step sweep to 2.7e-13 relative and the series to 1.7e-13, on footing
-8^3/500 J to 1.5e-14.
+steps couple only through the pressure row's n_p-vector D u + M p
+(:func:`run_primal_fom`).  On the direct solver such a sweep steps on its
+pressure increments: one LU solve a step, with no residual and no
+displacement carried.  Where n_p < M and the propagator G, n_p x n_p, is
+no larger than the factor, the series follows an n_p-dimensional linear
+recurrence with G instead: n_p block solves and one n_p x n_p product a
+step.  Both run the same discrete scheme: on Mandel 80x16/2000 the
+increment sweep's J agrees with the stored sweep's to 3.3e-14 relative,
+and through the propagator J agrees to 2.7e-13 on Mandel 40x8/5000 and
+1.5e-14 on footing 8^3/500.
 """
 
 from __future__ import annotations
@@ -49,8 +51,10 @@ __all__ = [
 # patches the factorization therefore needs operators no system has used
 _FACTORS = weakref.WeakKeyDictionary()
 # columns of W = S^-1 [0; I] that one LU solve of the pressure propagator
-# takes: on Mandel 40x8 a column costs 0.18 ms in blocks of 32 against
-# 0.30 ms for a single solve, on 80x16 1.0 ms against 1.7 ms
+# takes: a column costs 0.18-0.19 ms in blocks of 32 against 0.28 ms for a
+# single solve on Mandel 40x8, and 1.0 ms against 1.36-1.49 ms on 80x16
+# (two runs of StepSystem._solve_flow_load on a 2-core Xeon, one thread);
+# blocks of 8 to 64 cost about the same
 PROPAGATOR_BLOCK = 32
 
 
@@ -230,6 +234,15 @@ class StepSystem:
                                     transpose=transpose)
         return x[:self.n_u], x[self.n_u:]
 
+    def _solve_flow_load(self, y: np.ndarray) -> np.ndarray:
+        """The solution x of S x = [0; y], a load on the flow rows alone,
+        for a vector y or a block of columns: one scaled LU solve, which
+        no solve count records."""
+        d = self._scale.reshape((-1,) + (1,) * (y.ndim - 1))
+        rhs = np.zeros((d.shape[0],) + y.shape[1:])
+        rhs[self.n_u:] = d[self.n_u:] * y
+        return d * self._lu.solve(rhs)
+
     def solve_primal(self, u_prev, p_prev) -> tuple[np.ndarray, np.ndarray]:
         """One forward step, started from the previous state."""
         return self._solve(u_prev, p_prev, transpose=False)
@@ -245,22 +258,26 @@ def run_primal_fom(ops: BlockOperators, grid: TimeGrid,
                    store_states: bool = True) -> Trajectory:
     """Sweep the primal problem forward from the zero initial condition.
 
-    With ``store_states`` every step is solved.  Without, the goal series
-    comes from the pressure propagator (:func:`_propagated_goal_series`):
-    after one step solve, goal_m = goal_{m-1} + h . dq and dq <- G dq,
-    wherever :func:`_propagates` finds that cheaper than the step sweep,
-    which it replaces up to rounding (1.7e-13 relative on Mandel
-    40x8/5000).  ``solve_stats["solves"]`` then reads 1.
+    With ``store_states``, or on GMRES, every step is solved from the state
+    before it.  Without, on the direct solver, only the goal series is
+    kept (:func:`_goal_series`): after one step solve from zero, either
+    each step solves for its pressure increment alone, or, wherever
+    :func:`_propagates` finds that cheaper, the pressure propagator
+    replaces the steps.  Both agree with the stored sweep up to rounding
+    (1e-12 relative).  ``solve_stats["solves"]`` reads M, or 1 through
+    the propagator, and ``solve_stats["sweep"]`` says which:
+    ``"steps"`` or ``"propagator"``.
     """
     start = time.perf_counter()
     M = grid.num_elements
     system = StepSystem(ops, grid.k, solver)
-    if not store_states and _propagates(system, M):
-        traj = Trajectory(None, None,
-                          goal_series=_propagated_goal_series(system, M))
+    lean = not store_states and system._lu is not None
+    sweep = "propagator" if lean and _propagates(system, M) else "steps"
+    if lean:
+        traj = Trajectory(None, None, goal_series=_goal_series(system, M, sweep))
     else:
         traj = _step_sweep(system, M, store_states)
-    traj.solve_stats = _stats(system)
+    traj.solve_stats = _stats(system) | {"sweep": sweep}
     traj.wall_time = time.perf_counter() - start
     return traj
 
@@ -293,31 +310,40 @@ def _propagates(system: StepSystem, M: int) -> bool:
             and n_p * n_p <= system._lu.nnz)
 
 
-def _propagated_goal_series(system: StepSystem, M: int) -> np.ndarray:
-    """The goal series g . p_m through the pressure propagator.
+def _goal_series(system: StepSystem, M: int, sweep: str) -> np.ndarray:
+    """The goal series g . p_m of a direct sweep that keeps no states.
 
-    The load is constant, so the increment dx_m = x_m - x_{m-1} solves
-    S dx_m = [0; dq_{m-1}] with dq = D du + M dp: dx_m = W dq_{m-1} for
-    W = S^-1 [0; I].  Hence dq_m = G dq_{m-1} with G = [D M] W, and the
-    goal moves by g . dp_m = h . dq_{m-1} with h = W_p^T g.  The first
-    step is one solve from zero; W is solved PROPAGATOR_BLOCK columns at a
-    time, each block reduced at once to its columns of G and entries of
-    h, so W is never held whole.
+    The load is constant, so after the first step, one solve from zero,
+    the increment dx_m = x_m - x_{m-1} solves S dx_m = [0; dq_{m-1}] with
+    dq = D du + M dp, and the flow row of step m,
+    D u_m + (M + kK) p_m = D u_{m-1} + M p_{m-1}, gives dq_m = -kK p_m.
+    A ``"steps"`` sweep takes one solve a step, S dx_m = [0; -kK p_{m-1}],
+    and keeps only p_m = p_{m-1} + dp_m: no residual, no displacement.
+    Formed from p, dq cancels nothing; D u_1 + M p_1 put the Mandel
+    80x16/40 series 1.8e-12 from the stored sweep, -kK p_1 2.6e-13.
+    Through the ``"propagator"``, dx_m = W dq_{m-1} for W = S^-1 [0; I]:
+    dq_m = G dq_{m-1} with G = [D M] W, and the goal moves by
+    g . dp_m = h . dq_{m-1} with h = W_p^T g.  W is solved
+    PROPAGATOR_BLOCK columns at a time, each block reduced at once to its
+    columns of G and entries of h, so W is never held whole.
     """
     ops = system.ops
     n_u, n_p = ops.n_u, ops.n_p
     goal_series = np.zeros(M + 1)
     u, p = system.solve_primal(np.zeros(n_u), np.zeros(n_p))
     goal_series[1] = ops.g_goal @ p
-    dq = ops.D_pu @ u + ops.M_pp @ p
+    if sweep == "steps":
+        for m in range(2, M + 1):
+            system.solve_count += 1
+            p += system._solve_flow_load(-(system._kK @ p))[n_u:]
+            goal_series[m] = ops.g_goal @ p
+        return goal_series
 
-    d = system._scale
+    dq = ops.D_pu @ u + ops.M_pp @ p
     G, h = np.empty((n_p, n_p)), np.empty(n_p)
     for j in range(0, n_p, PROPAGATOR_BLOCK):
-        cols = np.arange(j, min(j + PROPAGATOR_BLOCK, n_p))
-        rhs = np.zeros((n_u + n_p, cols.size))
-        rhs[n_u + cols, cols - j] = d[n_u + cols]
-        W = d[:, None] * system._lu.solve(rhs)
+        cols = slice(j, min(j + PROPAGATOR_BLOCK, n_p))
+        W = system._solve_flow_load(np.eye(n_p, cols.stop - j, -j))
         W_u, W_p = W[:n_u], W[n_u:]
         G[:, cols] = ops.D_pu @ W_u + ops.M_pp @ W_p
         h[cols] = ops.g_goal @ W_p

@@ -419,11 +419,20 @@ def test_summary_headers(tmp_path, mandel_fom_bundle):
     assert main(["moredwr", "--cells", "4x2", "--steps", "20", "--reference",
                  str(mandel_fom_bundle), "--out", str(out)]) == 0
     assert header(mandel_fom_bundle) == [
-        "fingerprint", "run_kind", "status", "J_fom", "wall_time_s"]
+        "fingerprint", "run_kind", "status", "J_fom", "wall_time_s", "sweep"]
     assert header(out) == [
         "fingerprint", "run_kind", "status", "tol_rel_pct", "e_rel_pct",
         "speedup", "fom_solves", "rom_size", "I_eff", "I_ind", "eta_rel_pct",
         "eta", "J_rom", "J_fom", "wall_time_s"]
+
+
+@pytest.mark.parametrize("steps, sweep", [(10, "steps"), (20, "propagator")])
+def test_fom_summary_names_its_sweep(tmp_path, steps, sweep):
+    # Mandel 4x2 has n_p = 12: 10 steps are stepped, 20 take the propagator
+    out = tmp_path / "fom"
+    assert main(["fom", "--cells", "4x2", "--steps", str(steps), "--out",
+                 str(out)]) == 0
+    assert reports.read_summary(out)["sweep"] == sweep
 
 
 def test_summary_full_precision(tmp_path):

@@ -229,16 +229,26 @@ def test_goal_series_matches_states(mandel_small):
     np.testing.assert_allclose(traj.goal_series, expect, rtol=1e-12)
 
 
-def test_store_states_false_keeps_goal_series():
-    # 10 steps on Mandel 4x2 (n_p = 12) are fewer than the propagator's
-    # block solves, so the lean sweep steps too and its series is bitwise
-    # that of the stored one
-    ops, grid = build_problem(mandel_spec(cells=(4, 2), steps=10))
+@pytest.mark.parametrize("spec_of", [
+    lambda: mandel_spec(cells=(4, 2), steps=10),
+    lambda: mandel_spec(cells=(80, 16), steps=40),
+    lambda: footing_spec(cells=(6, 6, 6), steps=50),
+], ids=["mandel-4x2", "mandel-80x16", "footing-6"])
+def test_lean_step_sweep_matches_stored_sweep(spec_of):
+    # n_p >= M here, so without stored states the direct sweep steps on
+    # its pressure increments: one solve of S dx = [0; -kK p] a step, no
+    # residual and no displacement.  Measured: series within 2.6e-13
+    # relative and J within 2.1e-13 (Mandel 80x16/40)
+    ops, grid = build_problem(spec_of())
     lean = run_primal_fom(ops, grid, store_states=False)
     full = run_primal_fom(ops, grid)
-    assert lean.solve_stats["solves"] == grid.num_elements
-    np.testing.assert_array_equal(lean.goal_series, full.goal_series)
-    assert lean.U is None
+    assert lean.solve_stats == {"solves": grid.num_elements, "sweep": "steps"}
+    assert full.solve_stats["sweep"] == "steps"
+    assert lean.U is None and lean.P is None
+    scale = np.abs(full.goal_series).max()
+    assert np.abs(lean.goal_series - full.goal_series).max() <= 1e-12 * scale
+    J = evaluate_goal(full, grid)
+    assert abs(evaluate_goal(lean, grid) - J) <= 1e-12 * abs(J)
 
 
 @pytest.mark.parametrize("spec_of", [
@@ -254,7 +264,7 @@ def test_propagator_matches_step_sweep(spec_of):
     ops, grid = build_problem(spec_of())
     lean = run_primal_fom(ops, grid, store_states=False)
     full = run_primal_fom(ops, grid)
-    assert lean.solve_stats["solves"] == 1
+    assert lean.solve_stats == {"solves": 1, "sweep": "propagator"}
     assert full.solve_stats["solves"] == grid.num_elements
     scale = np.abs(full.goal_series).max()
     assert np.abs(lean.goal_series - full.goal_series).max() <= 1e-12 * scale
