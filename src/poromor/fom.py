@@ -15,11 +15,12 @@ steps couple only through the pressure row's n_p-vector D u + M p
 pressure increments: one LU solve a step, with no residual and no
 displacement carried.  Where n_p < M and the propagator G, n_p x n_p, is
 no larger than the factor, the series follows an n_p-dimensional linear
-recurrence with G instead: n_p block solves and one n_p x n_p product a
-step.  Both run the same discrete scheme: on Mandel 80x16/2000 the
+recurrence with G instead, evaluated 32 steps at a time: n_p/32 block
+solves, 5 squarings of G and about 32 + M/32 products with an
+n_p-vector.  Both run the same discrete scheme: on Mandel 80x16/2000 the
 increment sweep's J agrees with the stored sweep's to 3.3e-14 relative,
-and through the propagator J agrees to 2.7e-13 on Mandel 40x8/5000 and
-1.5e-14 on footing 8^3/500.
+and through the propagator J agrees to 1.5e-13 on Mandel 40x8/5000 and
+1.4e-14 on footing 8^3/500.
 """
 
 from __future__ import annotations
@@ -54,7 +55,8 @@ _FACTORS = weakref.WeakKeyDictionary()
 # takes: a column costs 0.18-0.19 ms in blocks of 32 against 0.28 ms for a
 # single solve on Mandel 40x8, and 1.0 ms against 1.36-1.49 ms on 80x16
 # (two runs of StepSystem._solve_flow_load on a 2-core Xeon, one thread);
-# blocks of 8 to 64 cost about the same
+# blocks of 8 to 64 cost about the same.  The goal series takes its powers
+# in blocks of the same size, a power of two: G^32 from 5 squarings
 PROPAGATOR_BLOCK = 32
 
 
@@ -262,11 +264,12 @@ def run_primal_fom(ops: BlockOperators, grid: TimeGrid,
     before it.  Without, on the direct solver, only the goal series is
     kept (:func:`_goal_series`): after one step solve from zero, either
     each step solves for its pressure increment alone, or, wherever
-    :func:`_propagates` finds that cheaper, the pressure propagator
-    replaces the steps.  Both agree with the stored sweep up to rounding
-    (1e-12 relative).  ``solve_stats["solves"]`` reads M, or 1 through
-    the propagator, and ``solve_stats["sweep"]`` says which:
-    ``"steps"`` or ``"propagator"``.
+    :func:`_propagates` admits it, the pressure propagator replaces the
+    steps, its series taken 32 steps at a time from a few powers of G.
+    Both agree with the stored sweep up to rounding (1e-12 relative).
+    ``solve_stats["solves"]`` reads M, or 1 through the propagator, and
+    ``solve_stats["sweep"]`` says which: ``"steps"`` or
+    ``"propagator"``.
     """
     start = time.perf_counter()
     M = grid.num_elements
@@ -303,8 +306,9 @@ def _step_sweep(system: StepSystem, M: int, store_states: bool) -> Trajectory:
 def _propagates(system: StepSystem, M: int) -> bool:
     """Whether the pressure propagator replaces the step sweep: only on a
     direct factor, when its n_p block solves are fewer than the M steps
-    and G, n_p x n_p, is no larger than the factor, so that a product
-    with G reads no more than a solve does."""
+    and G, n_p x n_p, is no larger than the factor.  G and one power of it
+    are alive at a time, so the rule bounds the sweep's memory by about
+    twice the factor's."""
     n_p = system.ops.n_p
     return (system._lu is not None and n_p < M
             and n_p * n_p <= system._lu.nnz)
@@ -326,6 +330,18 @@ def _goal_series(system: StepSystem, M: int, sweep: str) -> np.ndarray:
     g . dp_m = h . dq_{m-1} with h = W_p^T g.  W is solved
     PROPAGATOR_BLOCK columns at a time, each block reduced at once to its
     columns of G and entries of h, so W is never held whole.
+
+    The increments of the goal form the series s_j = h . G^j dq_1,
+    j < M - 1, taken k = PROPAGATOR_BLOCK terms at a time (Paterson and
+    Stockmeyer 1973, SIAM J. Comput. 2:60): s_{ik+b} = z_i . x_b with the
+    baby steps x_b = G^b dq_1, b < k, and the rows z_i = (G^k)^T z_{i-1},
+    z_0 = h.  That is k - 1 products with G, log2 k squarings to G^k (G
+    itself then dies, so G and one power are alive at a time), M/k
+    products with G^k and one product Z X, in place of the M products
+    of a step chain.  Where M - 1 <= k no power is taken.  The goal
+    series is the cumulative sum of the s_j in step order, as a step
+    chain adds them; Mandel 40x8/5000's J sits 1.5e-13 from the stored
+    sweep (2.7e-13 by the step chain).
     """
     ops = system.ops
     n_u, n_p = ops.n_u, ops.n_p
@@ -347,9 +363,22 @@ def _goal_series(system: StepSystem, M: int, sweep: str) -> np.ndarray:
         W_u, W_p = W[:n_u], W[n_u:]
         G[:, cols] = ops.D_pu @ W_u + ops.M_pp @ W_p
         h[cols] = ops.g_goal @ W_p
-    for m in range(2, M + 1):
-        goal_series[m] = goal_series[m - 1] + h @ dq
-        dq = G @ dq
+    # the baby steps x_b, then G^k and the rows z_i; the last row of Z
+    # may be only partly used
+    n, k = M - 1, min(PROPAGATOR_BLOCK, M - 1)
+    X = np.empty((k, n_p))
+    X[0] = dq
+    for b in range(1, k):
+        X[b] = G @ X[b - 1]
+    Z = np.empty((-(-n // k), n_p))
+    Z[0] = h
+    if len(Z) > 1:
+        for _ in range(k.bit_length() - 1):
+            G = G @ G
+        for i in range(1, len(Z)):
+            Z[i] = Z[i - 1] @ G
+    series = (Z @ X.T).ravel()[:n]
+    goal_series[1:] = np.cumsum(np.concatenate(([goal_series[1]], series)))
     return goal_series
 
 

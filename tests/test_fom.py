@@ -253,14 +253,25 @@ def test_lean_step_sweep_matches_stored_sweep(spec_of):
 
 @pytest.mark.parametrize("spec_of", [
     lambda: mandel_spec(cells=(4, 2), steps=20),
+    lambda: mandel_spec(cells=(4, 2), steps=13),
+    lambda: mandel_spec(cells=(4, 2), steps=33),
+    lambda: mandel_spec(cells=(4, 2), steps=34),
+    lambda: mandel_spec(cells=(4, 2), steps=66),
     lambda: mandel_spec(cells=(40, 8), steps=500),
+    lambda: mandel_spec(cells=(40, 8), steps=5000),
     lambda: footing_spec(cells=(4, 4, 4), steps=50),
     lambda: footing_spec(cells=(8, 8, 8), steps=500),
-], ids=["mandel-4x2", "mandel-40x8", "footing-4", "footing-8"])
+], ids=["mandel-4x2", "mandel-4x2-13", "mandel-4x2-33", "mandel-4x2-34",
+        "mandel-4x2-66", "mandel-40x8", "mandel-40x8-5000", "footing-4",
+        "footing-8"])
 def test_propagator_matches_step_sweep(spec_of):
     # without stored states these sweeps take the pressure propagator: one
-    # step solve, then dense products with G.  Measured: series within
-    # 1.4e-13 relative and J within 2.6e-13 (Mandel 40x8/500)
+    # step solve, then the M - 1 series terms PROPAGATOR_BLOCK (32) at a
+    # time.  The Mandel 4x2 step counts cross the block's edges: M - 1 of
+    # 12 and 19 < 32 need no power of G, 32 fills one block exactly, 33
+    # puts one term in a second row and 65 is two rows plus one; 4,999 =
+    # 156 * 32 + 7 is the benchmark's.  Measured: series within 1.6e-13
+    # relative and J within 2.6e-13 (Mandel 40x8/500 and /5000)
     ops, grid = build_problem(spec_of())
     lean = run_primal_fom(ops, grid, store_states=False)
     full = run_primal_fom(ops, grid)
@@ -280,7 +291,11 @@ def test_propagator_matches_step_sweep(spec_of):
 def test_propagator_rule_keeps_stepping(spec_of, method):
     # Mandel 80x16 has n_p = 1,360 < 2,000 steps, but G's n_p^2 = 1.85M
     # entries would outgrow the factor's 1.39M; footing 6^3 has 168
-    # pressure dofs, more than its 50 steps; and GMRES has no exact factor
+    # pressure dofs, more than its 50 steps; and GMRES has no exact factor.
+    # The rule bounds memory, not time: forced onto the propagator, the
+    # benchmark's Mandel 80x16/2000 reference ran in 2.1 s against 3.4 s
+    # stepping, but G and G^2 (2 x 14.8 MB) raised the run's peak RSS
+    # from 100.6 to 132.0 MB (+31%)
     spec = spec_of()
     ops, grid = build_problem(spec)
     system = StepSystem(ops, grid.k, LinearSolverConfig(SolverMethod(method)))

@@ -367,8 +367,12 @@ def test_results_do_not_depend_on_blas_threads():
     # 80x16/40, n = 11792: OpenBLAS splits dot and gemv reductions of this
     # length over its threads, which moves J_rom and eta in the last
     # digits.  40x8/400 takes the reference through the pressure
-    # propagator instead, so its products G dq are covered too
-    for cells, steps, solves in (((80, 16), 40, 40), ((40, 8), 400, 1)):
+    # propagator instead: its 399 series terms, more than one block of
+    # 32, cover the powers G^b dq, the squarings of G and the rows
+    # h^T (G^32)^i too
+    for cells, steps, stats in (
+            ((80, 16), 40, {"solves": 40, "sweep": "steps"}),
+            ((40, 8), 400, {"solves": 1, "sweep": "propagator"})):
         spec = mandel_spec(cells=cells, steps=steps)
         ops, grid = build_problem(spec)
 
@@ -378,12 +382,12 @@ def test_results_do_not_depend_on_blas_threads():
                                             store_states=False)
                 record = run_moredwr(ops, grid, spec.moredwr,
                                      solver=spec.solver).record
-            return (trajectory.solve_stats["solves"],
+            return (trajectory.solve_stats,
                     evaluate_goal(trajectory, grid), record.J_rom, record.eta,
                     [log.m_max for log in record.iterations])
 
         one = run(1)
-        assert one[0] == solves
+        assert one[0] == stats
         assert run(2) == one
 
 
