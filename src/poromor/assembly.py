@@ -319,22 +319,30 @@ def assemble_goal_vector(space: TaylorHoodSpace, tag: BoundaryTag) -> np.ndarray
 # the subspace: free dofs, folded by the problem's symmetries
 # ----------------------------------------------------------------------------
 
-# per benchmark: the (tag, displacement component) pairs held at u_i = 0,
-# and the tags held at p = 0
-_DIRICHLET = {
-    ProblemKind.MANDEL: (((BoundaryTag.LEFT, 0), (BoundaryTag.BOTTOM, 1)),
-                         (BoundaryTag.RIGHT,)),
-    ProblemKind.FOOTING: (tuple((BoundaryTag.BOTTOM, c) for c in range(3)),
-                          (BoundaryTag.BOTTOM,)),
+# per benchmark, its boundary conditions: the (tag, displacement component)
+# pairs held at u_i = 0 and the tags held at p = 0; the tag and direction of
+# the traction sigma(u) . n = -t_bar * direction; the goal's tag; and the
+# tags whose coupling C_up carries the boundary term alpha <p n, v>
+BoundaryConditions = namedtuple("BoundaryConditions", "u_fixed p_fixed traction_tag "
+                                "traction_direction goal_tag neumann_tags")
+BOUNDARY_CONDITIONS = {
+    ProblemKind.MANDEL: BoundaryConditions(
+        ((BoundaryTag.LEFT, 0), (BoundaryTag.BOTTOM, 1)), (BoundaryTag.RIGHT,),
+        BoundaryTag.TOP, (0.0, 1.0), BoundaryTag.BOTTOM,
+        (BoundaryTag.TOP, BoundaryTag.RIGHT)),
+    ProblemKind.FOOTING: BoundaryConditions(
+        tuple((BoundaryTag.BOTTOM, c) for c in range(3)), (BoundaryTag.BOTTOM,),
+        BoundaryTag.COMPRESSION, (0.0, 0.0, 1.0), BoundaryTag.COMPRESSION,
+        (BoundaryTag.TOP, BoundaryTag.COMPRESSION, BoundaryTag.WALL)),
 }
 
 
 def dirichlet_dofs(space: TaylorHoodSpace, problem_kind: ProblemKind):
     """Fixed (u, p) dof index arrays: the nodes on the tagged facets of the
     benchmark's Dirichlet boundaries."""
-    u_fixed, p_fixed = _DIRICHLET[problem_kind]
-    u_dofs = [space.boundary_nodes(tag, 2) * space.dim + c for tag, c in u_fixed]
-    p_dofs = [space.boundary_nodes(tag, 1) for tag in p_fixed]
+    bc = BOUNDARY_CONDITIONS[problem_kind]
+    u_dofs = [space.boundary_nodes(tag, 2) * space.dim + c for tag, c in bc.u_fixed]
+    p_dofs = [space.boundary_nodes(tag, 1) for tag in bc.p_fixed]
     return np.unique(np.concatenate(u_dofs)), np.unique(np.concatenate(p_dofs))
 
 
@@ -404,24 +412,21 @@ def symmetry_fold(space: TaylorHoodSpace, problem_kind: ProblemKind,
 
 
 def assemble_operators(space: TaylorHoodSpace, material: MaterialParams,
-                       problem_kind: ProblemKind,
-                       traction_tag: BoundaryTag,
-                       traction_direction: np.ndarray,
-                       goal_tag: BoundaryTag,
-                       neumann_tags: tuple[BoundaryTag, ...],
-                       fold: bool = True) -> BlockOperators:
-    """Assemble and order all blocks of one benchmark problem in the
+                       problem_kind: ProblemKind, fold: bool = True) -> BlockOperators:
+    """Assemble and order all blocks of one benchmark problem, under the
+    boundary conditions its kind fixes (:data:`BOUNDARY_CONDITIONS`), in the
     subspace of :func:`symmetry_fold`, where the states stay, ordered on
     its representatives; without ``fold``, on all free dofs."""
     material.validate()
-    f = assemble_traction(space, traction_tag, material.traction_magnitude,
-                          traction_direction)
-    g = assemble_goal_vector(space, goal_tag)
+    bc = BOUNDARY_CONDITIONS[problem_kind]
+    f = assemble_traction(space, bc.traction_tag, material.traction_magnitude,
+                          bc.traction_direction)
+    g = assemble_goal_vector(space, bc.goal_tag)
     sector = symmetry_fold(space, problem_kind, f, g, fold)
     A = assemble_elasticity(space, material.lame_mu, material.lame_lambda, sector)
     M, K = assemble_pressure_blocks(space, material.storage_coefficient,
                                     material.permeability, material.viscosity, sector)
-    C, D = assemble_coupling(space, material.biot_alpha, neumann_tags, sector)
+    C, D = assemble_coupling(space, material.biot_alpha, bc.neumann_tags, sector)
     ordering = nested_dissection(space, sector.dofs) if space.dim == 3 else None
     return BlockOperators(A, M, K, C, D, sector.E["u"].T @ f, sector.E["p"].T @ g,
                           ordering)

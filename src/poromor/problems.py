@@ -3,8 +3,11 @@
 Two built-in problems: the 2D Mandel consolidation benchmark (traction on
 the top edge, goal = time-integrated bottom pressure) and a 3D footing
 problem (traction on a centered compression patch, goal = time-integrated
-patch pressure).  Defaults reproduce the reference setups: Mandel on an
-80x16 grid and footing on a 16^3 grid, both with T = 5e6 s over 5000 steps.
+patch pressure).  Each problem kind fixes its box (:data:`BOX`) and its
+boundary conditions (:data:`~poromor.assembly.BOUNDARY_CONDITIONS`); a run
+sets the mesh, the steps, the end time, the material and the tolerance.
+Defaults reproduce the reference setups: Mandel on an 80x16 grid and
+footing on a 16^3 grid, both with T = 5e6 s over 5000 steps.
 
 Configuration files are flat ``key = value`` text with dotted section
 prefixes; see CONFIG_KEYS for the schema.
@@ -20,7 +23,7 @@ import numpy as np
 
 from .adaptive import MoreDwrConfig
 from .assembly import BlockOperators, MaterialParams, assemble_operators
-from .discretization import (BoundaryTag, ProblemKind, build_structured_mesh,
+from .discretization import (ProblemKind, build_structured_mesh,
                              build_taylor_hood_space, tag_boundaries)
 from .fom import TimeGrid
 from .linsolve import LinearSolverConfig, release_heap
@@ -44,21 +47,25 @@ class ConfigError(ValueError):
         self.line = line
 
 
+# per benchmark: the box [origin, origin + extent] it is meshed on
+BOX = {
+    ProblemKind.MANDEL: ((0.0, 0.0), (100.0, 20.0)),
+    ProblemKind.FOOTING: ((-32.0, -32.0, 0.0), (64.0, 64.0, 64.0)),
+}
+
+
 @dataclass
 class ProblemSpec:
-    """Complete description of one benchmark run."""
+    """What a run sets of one benchmark: its kind, mesh, steps, end time,
+    material, solver and adaptive loop.  The box and the boundary
+    conditions are the kind's; ``fingerprint`` names every input that
+    shapes the operators and the time grid."""
 
     kind: ProblemKind
-    origin: tuple[float, ...]
-    extent: tuple[float, ...]
     cells_per_axis: tuple[int, ...]
     t_end: float
     num_steps: int
-    material: MaterialParams
-    traction_tag: BoundaryTag
-    traction_direction: tuple[float, ...]
-    goal_tag: BoundaryTag
-    neumann_tags: tuple[BoundaryTag, ...]
+    material: MaterialParams = field(default_factory=MaterialParams)
     solver: LinearSolverConfig = field(default_factory=LinearSolverConfig)
     moredwr: MoreDwrConfig = field(default_factory=MoreDwrConfig)
 
@@ -74,8 +81,10 @@ class ProblemSpec:
             raise ConfigError(f"number of steps must be >= 1, got {self.num_steps}")
         if self.t_end <= 0:
             raise ConfigError(f"t_end must be positive, got {self.t_end}")
-        if len(self.cells_per_axis) != len(self.origin):
-            raise ConfigError("cells and geometry dimensions do not match")
+        dim = len(BOX[self.kind][0])
+        if len(self.cells_per_axis) != dim:
+            raise ConfigError(f"{self.kind.value} needs {dim} cell counts, "
+                              f"got {self.cells_per_axis}")
         if any(n < 1 for n in self.cells_per_axis):
             raise ConfigError(f"cell counts must be >= 1, got {self.cells_per_axis}")
         self.material.validate()
@@ -83,54 +92,27 @@ class ProblemSpec:
 
 
 def mandel_spec(cells=(80, 16), steps=5000, t_end=5.0e6) -> ProblemSpec:
-    """2D consolidation benchmark with defaults at reference resolution."""
-    return ProblemSpec(
-        kind=ProblemKind.MANDEL,
-        origin=(0.0, 0.0),
-        extent=(100.0, 20.0),
-        cells_per_axis=tuple(cells),
-        t_end=t_end,
-        num_steps=steps,
-        material=MaterialParams(),
-        traction_tag=BoundaryTag.TOP,
-        traction_direction=(0.0, 1.0),
-        goal_tag=BoundaryTag.BOTTOM,
-        neumann_tags=(BoundaryTag.TOP, BoundaryTag.RIGHT),
-        moredwr=MoreDwrConfig(extra_dual_iterations=5),
-    )
+    """2D consolidation benchmark with defaults at reference resolution and
+    5 extra dual enrichments."""
+    return ProblemSpec(ProblemKind.MANDEL, tuple(cells), t_end, steps,
+                       moredwr=MoreDwrConfig(extra_dual_iterations=5))
 
 
 def footing_spec(cells=(16, 16, 16), steps=5000, t_end=5.0e6) -> ProblemSpec:
-    """3D footing benchmark, factored in nested-dissection order."""
-    return ProblemSpec(
-        kind=ProblemKind.FOOTING,
-        origin=(-32.0, -32.0, 0.0),
-        extent=(64.0, 64.0, 64.0),
-        cells_per_axis=tuple(cells),
-        t_end=t_end,
-        num_steps=steps,
-        material=MaterialParams(),
-        traction_tag=BoundaryTag.COMPRESSION,
-        traction_direction=(0.0, 0.0, 1.0),
-        goal_tag=BoundaryTag.COMPRESSION,
-        neumann_tags=(BoundaryTag.TOP, BoundaryTag.COMPRESSION, BoundaryTag.WALL),
-        moredwr=MoreDwrConfig(extra_dual_iterations=8),
-    )
+    """3D footing benchmark with defaults at reference resolution and 8
+    extra dual enrichments; factored in nested-dissection order."""
+    return ProblemSpec(ProblemKind.FOOTING, tuple(cells), t_end, steps,
+                       moredwr=MoreDwrConfig(extra_dual_iterations=8))
 
 
 def build_problem(spec: ProblemSpec) -> tuple[BlockOperators, TimeGrid]:
-    """Mesh, tag and assemble one benchmark problem on its free dofs."""
+    """Mesh the kind's box, tag it and assemble one benchmark problem on
+    its free dofs."""
     spec.validate()
-    mesh = build_structured_mesh(spec.origin, spec.extent, spec.cells_per_axis)
+    mesh = build_structured_mesh(*BOX[spec.kind], spec.cells_per_axis)
     mesh = tag_boundaries(mesh, spec.kind)
     space = build_taylor_hood_space(mesh)
-    ops = assemble_operators(
-        space, spec.material, spec.kind,
-        traction_tag=spec.traction_tag,
-        traction_direction=np.asarray(spec.traction_direction),
-        goal_tag=spec.goal_tag,
-        neumann_tags=spec.neumann_tags,
-    )
+    ops = assemble_operators(space, spec.material, spec.kind)
     grid = TimeGrid(t_end=spec.t_end, num_elements=spec.num_steps)
     # the assembly's temporaries are freed; give their heap back
     release_heap()

@@ -32,13 +32,14 @@ def footing_tiny():
 
 
 def tagged_space(spec):
-    """The Taylor-Hood space of ``spec``'s mesh with its boundary tagged, as
-    ``build_problem`` assembles on it."""
+    """The Taylor-Hood space of ``spec``'s mesh of its kind's box with its
+    boundary tagged, as ``build_problem`` assembles on it."""
     from poromor.discretization import (build_structured_mesh,
                                         build_taylor_hood_space, tag_boundaries)
+    from poromor.problems import BOX
 
     return build_taylor_hood_space(tag_boundaries(build_structured_mesh(
-        spec.origin, spec.extent, spec.cells_per_axis), spec.kind))
+        *BOX[spec.kind], spec.cells_per_axis), spec.kind))
 
 
 def unfolded_operators(spec):
@@ -46,20 +47,20 @@ def unfolded_operators(spec):
     (H the identity alone): the blocks on all free dofs."""
     from poromor.assembly import assemble_operators
 
-    return assemble_operators(
-        tagged_space(spec), spec.material, spec.kind, traction_tag=spec.traction_tag,
-        traction_direction=np.asarray(spec.traction_direction),
-        goal_tag=spec.goal_tag, neumann_tags=spec.neumann_tags, fold=False)
+    return assemble_operators(tagged_space(spec), spec.material, spec.kind,
+                              fold=False)
 
 
 def load_and_goal(space, spec):
-    """The full-size load f and goal g of ``spec`` on ``space``."""
-    from poromor.assembly import assemble_goal_vector, assemble_traction
+    """The full-size load f and goal g of ``spec`` on ``space``, under its
+    kind's boundary conditions."""
+    from poromor.assembly import (BOUNDARY_CONDITIONS, assemble_goal_vector,
+                                  assemble_traction)
 
-    f = assemble_traction(space, spec.traction_tag,
-                          spec.material.traction_magnitude,
-                          np.asarray(spec.traction_direction))
-    return f, assemble_goal_vector(space, spec.goal_tag)
+    bc = BOUNDARY_CONDITIONS[spec.kind]
+    f = assemble_traction(space, bc.traction_tag,
+                          spec.material.traction_magnitude, bc.traction_direction)
+    return f, assemble_goal_vector(space, bc.goal_tag)
 
 
 def subspace(spec, fold=True):
@@ -89,14 +90,15 @@ def identity_basis(space):
 def full_blocks(spec):
     """The five full-size blocks of ``spec``, by name: unconstrained and
     unfolded."""
-    from poromor.assembly import (assemble_coupling, assemble_elasticity,
-                                  assemble_pressure_blocks)
+    from poromor.assembly import (BOUNDARY_CONDITIONS, assemble_coupling,
+                                  assemble_elasticity, assemble_pressure_blocks)
 
     space = tagged_space(spec)
     basis, material = identity_basis(space), spec.material
     M, K = assemble_pressure_blocks(space, material.storage_coefficient,
                                     material.permeability, material.viscosity, basis)
-    C, D = assemble_coupling(space, material.biot_alpha, spec.neumann_tags, basis)
+    C, D = assemble_coupling(space, material.biot_alpha,
+                             BOUNDARY_CONDITIONS[spec.kind].neumann_tags, basis)
     return {"A_uu": assemble_elasticity(space, material.lame_mu,
                                         material.lame_lambda, basis),
             "M_pp": M, "K_pp": K, "C_up": C, "D_pu": D}

@@ -10,10 +10,10 @@ from poromor import adaptive, linsolve, reports
 from poromor.cli import main
 from poromor.discretization import BoundaryTag, ProblemKind
 from poromor.estimator import DegenerateNormalizationError
-from poromor.assembly import MaterialParams
+from poromor.assembly import BOUNDARY_CONDITIONS, MaterialParams
 from poromor.linsolve import SolverMethod
-from poromor.problems import (CONFIG_KEYS, ConfigError, parse_config,
-                              read_config_file)
+from poromor.problems import (BOX, CONFIG_KEYS, ConfigError, ProblemSpec,
+                              parse_config, read_config_file)
 from poromor.rom import DegenerateBasisError
 
 
@@ -34,7 +34,12 @@ def test_mandel_defaults_reproduce_reference_setup():
     assert mat.lame_lambda == pytest.approx(2.0e8 / 3.0)
     assert spec.solver.method is SolverMethod.DIRECT
     assert spec.moredwr.extra_dual_iterations == 5
-    assert spec.goal_tag is BoundaryTag.BOTTOM
+    assert BOX[spec.kind] == ((0.0, 0.0), (100.0, 20.0))
+    bc = BOUNDARY_CONDITIONS[spec.kind]
+    assert bc.traction_tag is BoundaryTag.TOP
+    assert bc.traction_direction == (0.0, 1.0)
+    assert bc.goal_tag is BoundaryTag.BOTTOM
+    assert bc.neumann_tags == (BoundaryTag.TOP, BoundaryTag.RIGHT)
 
 
 def test_footing_defaults():
@@ -43,8 +48,37 @@ def test_footing_defaults():
     assert spec.solver.method is SolverMethod.DIRECT
     assert linsolve.GMRES_TOLERANCE == pytest.approx(1.0e-8)
     assert spec.moredwr.extra_dual_iterations == 8
-    assert spec.goal_tag is BoundaryTag.COMPRESSION
-    assert spec.traction_direction == (0.0, 0.0, 1.0)
+    assert BOX[spec.kind] == ((-32.0, -32.0, 0.0), (64.0, 64.0, 64.0))
+    bc = BOUNDARY_CONDITIONS[spec.kind]
+    assert bc.traction_tag is BoundaryTag.COMPRESSION
+    assert bc.traction_direction == (0.0, 0.0, 1.0)
+    assert bc.goal_tag is BoundaryTag.COMPRESSION
+    assert bc.neumann_tags == (BoundaryTag.TOP, BoundaryTag.COMPRESSION,
+                               BoundaryTag.WALL)
+
+
+def test_fingerprint_names_every_field_that_shapes_the_problem():
+    # a spec holds only what a run sets: every field but the solver and the
+    # adaptive loop's settings, and every material constant, shapes the
+    # operators or the time grid, so the fingerprint that guards
+    # --reference and compare must change with each of them
+    assert {f.name for f in dataclasses.fields(ProblemSpec)} == {
+        "kind", "cells_per_axis", "t_end", "num_steps", "material", "solver",
+        "moredwr"}
+    spec = parse_config(None, {"problem": "mandel", "cells": "4x2", "steps": 20})
+    variants = [dataclasses.replace(spec, kind=ProblemKind.FOOTING),
+                dataclasses.replace(spec, cells_per_axis=(4, 3)),
+                dataclasses.replace(spec, t_end=0.5 * spec.t_end),
+                dataclasses.replace(spec, num_steps=21)]
+    variants += [dataclasses.replace(spec, material=dataclasses.replace(
+        spec.material, **{f.name: 0.5 * getattr(spec.material, f.name)}))
+        for f in dataclasses.fields(MaterialParams)]
+    for variant in variants:
+        assert variant.fingerprint != spec.fingerprint, variant
+    unshaped = dataclasses.replace(
+        spec, solver=dataclasses.replace(spec.solver, method=SolverMethod.GMRES),
+        moredwr=dataclasses.replace(spec.moredwr, tol_rel=0.5))
+    assert unshaped.fingerprint == spec.fingerprint
 
 
 def test_override_semantics():

@@ -13,11 +13,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import identity_basis
+from conftest import identity_basis, subspace, tagged_space
 from poromor.assembly import (MaterialParams, assemble_coupling,
                               assemble_elasticity, assemble_goal_vector,
-                              assemble_operators, assemble_pressure_blocks,
-                              assemble_traction, dirichlet_dofs)
+                              assemble_pressure_blocks, assemble_traction,
+                              dirichlet_dofs)
 from poromor.discretization import (BoundaryTag, ProblemKind,
                                     build_structured_mesh,
                                     build_taylor_hood_space, tag_boundaries)
@@ -142,11 +142,7 @@ def test_divergence_matches_dense_oracle():
 
 
 def test_rigid_translation_in_kernel():
-    spec = mandel_spec(cells=(4, 2), steps=1)
-    mesh = tag_boundaries(
-        build_structured_mesh(spec.origin, spec.extent, spec.cells_per_axis),
-        ProblemKind.MANDEL)
-    space = build_taylor_hood_space(mesh)
+    space = tagged_space(mandel_spec(cells=(4, 2), steps=1))
     A = assemble_elasticity(space, 1.0e8, 2.0e8 / 3.0, identity_basis(space))
     rigid = np.zeros(space.n_u)
     rigid[0::2] = 1.0  # u = e_x everywhere
@@ -167,11 +163,7 @@ def test_mass_sums_to_c_times_volume():
 
 
 def test_stiffness_kernel_constant_pressure():
-    spec = mandel_spec(cells=(5, 3), steps=1)
-    mesh = tag_boundaries(
-        build_structured_mesh(spec.origin, spec.extent, spec.cells_per_axis),
-        ProblemKind.MANDEL)
-    space = build_taylor_hood_space(mesh)
+    space = tagged_space(mandel_spec(cells=(5, 3), steps=1))
     _, K = assemble_pressure_blocks(space, 1.0, 1.0, 1.0, identity_basis(space))
     ones = np.ones(space.n_p)
     assert np.abs(K @ ones).max() <= 1e-12 * abs(K).max()
@@ -204,30 +196,20 @@ def test_right_boundary_term_vanishes_under_dirichlet():
     # coupling boundary term there reaches; assembling with and without the
     # Right tag must agree
     spec = mandel_spec(cells=(4, 2), steps=1)
-    mesh = tag_boundaries(
-        build_structured_mesh(spec.origin, spec.extent, spec.cells_per_axis),
-        ProblemKind.MANDEL)
-    space = build_taylor_hood_space(mesh)
+    space, basis = subspace(spec)
 
-    def constrained_ops(neumann_tags):
-        ops = assemble_operators(space, spec.material, ProblemKind.MANDEL,
-                                 spec.traction_tag,
-                                 np.asarray(spec.traction_direction),
-                                 spec.goal_tag, neumann_tags)
-        return ops
+    def coupling(neumann_tags):
+        C, _ = assemble_coupling(space, spec.material.biot_alpha, neumann_tags, basis)
+        return C
 
-    with_right = constrained_ops((BoundaryTag.TOP, BoundaryTag.RIGHT))
-    top_only = constrained_ops((BoundaryTag.TOP,))
-    diff = with_right.C_up - top_only.C_up
+    with_right = coupling((BoundaryTag.TOP, BoundaryTag.RIGHT))
+    top_only = coupling((BoundaryTag.TOP,))
+    diff = with_right - top_only
     assert (abs(diff).max() if diff.nnz else 0.0) <= 1e-14
 
 
 def test_traction_sum_mandel():
-    spec = mandel_spec(cells=(8, 4), steps=1)
-    mesh = tag_boundaries(
-        build_structured_mesh(spec.origin, spec.extent, spec.cells_per_axis),
-        ProblemKind.MANDEL)
-    space = build_taylor_hood_space(mesh)
+    space = tagged_space(mandel_spec(cells=(8, 4), steps=1))
     f = assemble_traction(space, BoundaryTag.TOP, 1.0e7, np.array([0.0, 1.0]))
     total_y = f[1::2].sum()
     assert total_y == pytest.approx(-1.0e7 * 100.0, rel=1e-12)
@@ -243,30 +225,18 @@ def test_traction_zero_magnitude():
 
 
 def test_traction_sum_footing_patch():
-    spec = footing_spec(cells=(4, 4, 4), steps=1)
-    mesh = tag_boundaries(
-        build_structured_mesh(spec.origin, spec.extent, spec.cells_per_axis),
-        ProblemKind.FOOTING)
-    space = build_taylor_hood_space(mesh)
+    space = tagged_space(footing_spec(cells=(4, 4, 4), steps=1))
     f = assemble_traction(space, BoundaryTag.COMPRESSION, 1.0e7,
                           np.array([0.0, 0.0, 1.0]))
     assert f[2::3].sum() == pytest.approx(-1.0e7 * 1024.0, rel=1e-12)
 
 
 def test_goal_vector_measures():
-    spec = mandel_spec(cells=(8, 4), steps=1)
-    mesh = tag_boundaries(
-        build_structured_mesh(spec.origin, spec.extent, spec.cells_per_axis),
-        ProblemKind.MANDEL)
-    space = build_taylor_hood_space(mesh)
+    space = tagged_space(mandel_spec(cells=(8, 4), steps=1))
     g = assemble_goal_vector(space, BoundaryTag.BOTTOM)
     assert g.sum() == pytest.approx(100.0, rel=1e-12)
 
-    spec3 = footing_spec(cells=(4, 4, 4), steps=1)
-    mesh3 = tag_boundaries(
-        build_structured_mesh(spec3.origin, spec3.extent, spec3.cells_per_axis),
-        ProblemKind.FOOTING)
-    space3 = build_taylor_hood_space(mesh3)
+    space3 = tagged_space(footing_spec(cells=(4, 4, 4), steps=1))
     g3 = assemble_goal_vector(space3, BoundaryTag.COMPRESSION)
     assert g3.sum() == pytest.approx(1024.0, rel=1e-12)
 
@@ -287,11 +257,7 @@ def test_goal_unknown_tag():
 
 
 def test_dirichlet_counts_mandel_paper():
-    spec = mandel_spec()
-    mesh = tag_boundaries(
-        build_structured_mesh(spec.origin, spec.extent, spec.cells_per_axis),
-        ProblemKind.MANDEL)
-    space = build_taylor_hood_space(mesh)
+    space = tagged_space(mandel_spec())
     du, dp = dirichlet_dofs(space, ProblemKind.MANDEL)
     left_ux = space.boundary_nodes(BoundaryTag.LEFT, 2) * 2
     bottom_uy = space.boundary_nodes(BoundaryTag.BOTTOM, 2) * 2 + 1
@@ -302,11 +268,7 @@ def test_dirichlet_counts_mandel_paper():
 
 
 def test_dirichlet_counts_footing():
-    spec = footing_spec(cells=(4, 4, 4), steps=1)
-    mesh = tag_boundaries(
-        build_structured_mesh(spec.origin, spec.extent, spec.cells_per_axis),
-        ProblemKind.FOOTING)
-    space = build_taylor_hood_space(mesh)
+    space = tagged_space(footing_spec(cells=(4, 4, 4), steps=1))
     du, dp = dirichlet_dofs(space, ProblemKind.FOOTING)
     assert du.size == 3 * (2 * 4 + 1) ** 2
     assert dp.size == 5 * 5
@@ -324,9 +286,8 @@ def test_tagged_boundary_matches_coordinate_planes(case):
     # benchmark's coordinate planes, and the tags partition the box surface
     kind, cells = case
     spec = (mandel_spec if kind is ProblemKind.MANDEL else footing_spec)(cells=cells)
-    mesh = tag_boundaries(
-        build_structured_mesh(spec.origin, spec.extent, cells), kind)
-    space = build_taylor_hood_space(mesh)
+    space = tagged_space(spec)
+    mesh = space.mesh
     lo, hi = mesh.origin, mesh.origin + mesh.extent
 
     def on_plane(coords, axis, value):
@@ -424,13 +385,9 @@ def test_local_numbering_matches_dof_maps(origin, extent, cells):
 
 
 def test_assembly_independent_of_cell_order():
-    spec = mandel_spec(cells=(4, 2), steps=1)
-    mesh = tag_boundaries(
-        build_structured_mesh(spec.origin, spec.extent, spec.cells_per_axis),
-        ProblemKind.MANDEL)
-    space = build_taylor_hood_space(mesh)
+    space = tagged_space(mandel_spec(cells=(4, 2), steps=1))
     rng = np.random.default_rng(7)
-    perm = rng.permutation(mesh.n_cells)
+    perm = rng.permutation(space.mesh.n_cells)
     shuffled = dataclasses.replace(space, u_node_map=space.u_node_map[perm],
                                    p_node_map=space.p_node_map[perm])
     A1 = assemble_elasticity(space, 1e8, 2e8 / 3, identity_basis(space))

@@ -16,14 +16,15 @@ import numpy as np
 import pytest
 
 from conftest import subspace, unfolded_operators
+from poromor.discretization import ProblemKind
 from poromor.fom import evaluate_goal, run_primal_fom
-from poromor.problems import build_problem, footing_spec, mandel_spec
+from poromor.problems import BOX, build_problem, footing_spec, mandel_spec
 
 MATERIAL = mandel_spec().material
 LAM, MU = MATERIAL.lame_lambda, MATERIAL.lame_mu
 ALPHA, BIOT_M = MATERIAL.biot_alpha, MATERIAL.compressibility_modulus
 F = MATERIAL.traction_magnitude
-WIDTH, HEIGHT = mandel_spec().extent
+WIDTH, HEIGHT = BOX[ProblemKind.MANDEL][1]
 
 
 def mandel_run(cells, steps, t_end=5.0e6):
