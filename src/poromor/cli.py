@@ -1,7 +1,8 @@
 """Command-line interface: full-order runs, adaptive runs, comparisons.
 
 Exit codes: 0 success, 2 configuration error or unusable file path,
-3 numerical failure (linear solver or degenerate reduced system),
+3 numerical failure (linear solver, degenerate reduced system or a
+full-order result that is not finite),
 4 adaptive run did not converge (outputs are still written).
 """
 
@@ -186,7 +187,8 @@ def main(argv=None) -> int:
     except FactorizationError as exc:
         print(f"linear solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
-    except (DegenerateBasisError, DegenerateNormalizationError) as exc:
+    except (DegenerateBasisError, DegenerateNormalizationError,
+            FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     except OSError as exc:

@@ -115,13 +115,10 @@ def effectivity(J_fom: float, J_rom: float, eta: float) -> float:
 
 
 def indicator(J_fom: float, J_rom: float, eta_m: np.ndarray) -> float:
-    """|true error| / sum |eta_m|; measures temporal localization quality."""
-    eta_m = np.asarray(eta_m, dtype=float)
-    denom = float(np.abs(eta_m).sum())
-    true_error = abs(J_fom - J_rom)
-    if denom == 0.0:
-        return math.inf if true_error != 0.0 else math.nan
-    return true_error / denom
+    """|true error| / sum |eta_m|, the effectivity of the estimate
+    sum |eta_m|; measures temporal localization quality."""
+    return effectivity(J_fom, J_rom,
+                       float(np.abs(np.asarray(eta_m, dtype=float)).sum()))
 
 
 def build_report(eta_m: np.ndarray, J_rom: float,

@@ -11,10 +11,11 @@ sweep and each adaptive run alike, shares that factor.
 
 A reference sweep that keeps no states needs only the goal series, and the
 steps couple only through the pressure row's n_p-vector D u + M p
-(:func:`run_primal_fom`).  On the direct solver such a sweep steps on its
-pressure increments: one LU solve a step, with no residual and no
-displacement carried.  Where n_p < M and the propagator G, n_p x n_p, is
-no larger than the factor, the series follows an n_p-dimensional linear
+(:func:`run_primal_fom`).  Its workspace budget is ``nnz // n_p`` rows of
+n_p, no more entries than the factor stores.  On the direct solver such a
+sweep steps on its pressure increments: one LU solve a step, with no
+residual and no displacement carried.  Where n_p < M and the propagator G,
+n_p x n_p, fits the budget, the series follows an n_p-dimensional linear
 recurrence with G instead, evaluated 32 steps at a time: n_p/32 block
 solves, 5 squarings of G and about 32 + M/32 products with an
 n_p-vector.  Both run the same discrete scheme: on Mandel 80x16/2000 the
@@ -27,10 +28,10 @@ thread and one worker thread that the sweep starts and joins: SuperLU
 solves outside the GIL.  The increment sweep splits its chain of M - 1
 solves after the first.  The caller steps the pressure forward, and the
 worker steps the goal vector backward through the transposed step,
-g . G_p^i p = ((G_p^T)^i g) . p; the worker's rows are capped so they
-take no more memory than the factor.  The propagator's block solves are
-shared out block by block.  The sweep still takes M solves, or 1 and
-n_p/32 block solves, and ``solve_stats`` counts both lanes.
+g . G_p^i p = ((G_p^T)^i g) . p, keeping a row a step within the budget.
+The propagator's block solves are shared out block by block.  The sweep
+still takes M solves, or 1 and n_p/32 block solves, and ``solve_stats``
+counts both lanes.
 """
 
 from __future__ import annotations
@@ -65,7 +66,7 @@ _FACTORS = weakref.WeakKeyDictionary()
 # columns of W = S^-1 [0; I] that one LU solve of the pressure propagator
 # takes: a column costs 0.18-0.19 ms in blocks of 32 against 0.28 ms for a
 # single solve on Mandel 40x8, and 1.0 ms against 1.36-1.49 ms on 80x16
-# (two runs of StepSystem._solve_flow_load on a 2-core Xeon, one thread),
+# (two runs of StepSystem._scaled_solve on a 2-core Xeon, one thread),
 # and 0.10-0.18 and 0.49-0.60 ms with the blocks dealt out to a sweep's two
 # lanes; blocks of 8 to 64 cost about the same.  The goal series takes its
 # powers in blocks of the same size, a power of two: G^32 from 5 squarings
@@ -243,23 +244,18 @@ class StepSystem:
                                    recycle=self._recycled[transpose])
             self.iteration_counts.append(iters)
         else:
-            d = self._scale
-            x += d * self._lu.solve(d * self._residual(u, p, transpose),
-                                    transpose=transpose)
+            x += self._scaled_solve(self._residual(u, p, transpose), transpose)
         return x[:self.n_u], x[self.n_u:]
 
-    def _solve_flow_load(self, y: np.ndarray, transpose: bool = False,
-                         lane: bool = False) -> np.ndarray:
-        """The solution x of S x = [0; y], or of S^T x = [0; y] with
-        ``transpose``, a load on the flow rows alone, for a vector y or a
-        block of columns: one scaled LU solve, which no solve count
-        records.  On a sweep's second ``lane`` it calls the factor's
-        ``_solve``, which no benchmark probe wraps."""
-        d = self._scale.reshape((-1,) + (1,) * (y.ndim - 1))
-        rhs = np.zeros((d.shape[0],) + y.shape[1:])
-        rhs[self.n_u:] = d[self.n_u:] * y
-        solve = self._lu._solve if lane else self._lu.solve
-        x = solve(rhs, transpose)
+    def _scaled_solve(self, rhs: np.ndarray, transpose: bool = False,
+                      lane: bool = False) -> np.ndarray:
+        """x = D LU^-1 (D rhs), the solution of S x = rhs or, ``transpose``,
+        S^T x = rhs, for a vector or a block of columns, scaling ``rhs`` in
+        place; no solve count records it.  On a sweep's second ``lane`` it
+        calls the factor's ``_solve``, which no benchmark probe wraps."""
+        d = self._scale.reshape((-1,) + (1,) * (rhs.ndim - 1))
+        rhs *= d
+        x = (self._lu._solve if lane else self._lu.solve)(rhs, transpose)
         x *= d
         return x
 
@@ -281,23 +277,26 @@ def run_primal_fom(ops: BlockOperators, grid: TimeGrid,
     With ``store_states``, or on GMRES, every step is solved from the state
     before it.  Without, on the direct solver, only the goal series is
     kept (:func:`_goal_series`): after one step solve from zero, either
-    each step solves for its pressure increment alone, or, wherever
-    :func:`_propagates` admits it, the pressure propagator replaces the
+    each step solves for its pressure increment alone, or, where n_p < M
+    and G fits the workspace budget, the pressure propagator replaces the
     steps, its series taken 32 steps at a time from a few powers of G.
     Both agree with the stored sweep up to rounding (1e-12 relative).
     ``solve_stats["solves"]`` reads M, or 1 through the propagator, and
-    ``solve_stats["sweep"]`` says which: ``"steps"`` or
-    ``"propagator"``.
+    ``solve_stats["sweep"]`` says which: ``"steps"`` or ``"propagator"``.
+    A goal that would not be finite raises ``FloatingPointError``.
     """
     start = time.perf_counter()
     M = grid.num_elements
     system = StepSystem(ops, grid.k, solver)
-    lean = not store_states and system._lu is not None
-    sweep = "propagator" if lean and _propagates(system, M) else "steps"
-    if lean:
-        traj = Trajectory(None, None, goal_series=_goal_series(system, M, sweep))
+    if store_states or system._lu is None:
+        traj, sweep = _step_sweep(system, M, store_states), "steps"
     else:
-        traj = _step_sweep(system, M, store_states)
+        rows = system._lu.nnz // ops.n_p  # the workspace budget
+        sweep = "propagator" if ops.n_p < M and ops.n_p <= rows else "steps"
+        traj = Trajectory(None, None, _goal_series(system, M, sweep, rows))
+    # k sum |g . p_m| bounds every partial sum of J (evaluate_goal)
+    if not math.isfinite(grid.k * float(np.abs(traj.goal_series).sum())):
+        raise FloatingPointError("the full-order goal is not finite")
     traj.solve_stats = _stats(system) | {"sweep": sweep}
     traj.wall_time = time.perf_counter() - start
     return traj
@@ -321,24 +320,11 @@ def _step_sweep(system: StepSystem, M: int, store_states: bool) -> Trajectory:
     return Trajectory(U, P, goal_series=goal_series)
 
 
-def _propagates(system: StepSystem, M: int) -> bool:
-    """Whether the pressure propagator replaces the step sweep: only on a
-    direct factor, when its n_p block solves are fewer than the M steps
-    and G, n_p x n_p, is no larger than the factor.  G and one power of it
-    are alive at a time, so the rule bounds the sweep's memory by about
-    twice the factor's."""
-    n_p = system.ops.n_p
-    return (system._lu is not None and n_p < M
-            and n_p * n_p <= system._lu.nnz)
-
-
-def _lane_split(M: int, n_p: int, nnz: int) -> tuple[int, int]:
+def _lane_split(M: int, rows: int) -> tuple[int, int]:
     """(a, b): of the M - 1 solves a ``"steps"`` sweep takes after its
-    first, a step the pressure forward on the calling thread and b step
-    the goal vector backward on a second lane.  b is at most half, and the
-    b rows of n_p that the lane keeps are no more than the factor's
-    ``nnz`` stored entries: the memory rule of :func:`_propagates`."""
-    b = min((M - 1) // 2, nnz // n_p)
+    first, a step the pressure forward on the calling thread and b, at
+    most half and at most ``rows``, the goal vector backward on a lane."""
+    b = min((M - 1) // 2, rows)
     return M - 1 - b, b
 
 
@@ -363,7 +349,8 @@ def _on_two_lanes(here, there) -> None:
     release_heap()
 
 
-def _goal_series(system: StepSystem, M: int, sweep: str) -> np.ndarray:
+def _goal_series(system: StepSystem, M: int, sweep: str,
+                 rows: int) -> np.ndarray:
     """The goal series g . p_m of a direct sweep that keeps no states.
 
     The load is constant, so after the first step, one solve from zero,
@@ -412,11 +399,13 @@ def _goal_series(system: StepSystem, M: int, sweep: str) -> np.ndarray:
     u, p = system.solve_primal(np.zeros(n_u), np.zeros(n_p))
     goal_series[1] = ops.g_goal @ p
     if sweep == "steps":
-        a, b = _lane_split(M, n_p, system._lu.nnz)
+        a, b = _lane_split(M, rows)
+        zeros = np.zeros(n_u)
 
         def forward():
             for m in range(2, a + 2):
-                p[:] += system._solve_flow_load(-(system._kK @ p))[n_u:]
+                rhs = np.concatenate((zeros, -(system._kK @ p)))
+                p[:] += system._scaled_solve(rhs)[n_u:]
                 goal_series[m] = ops.g_goal @ p
 
         Y = np.empty((b, n_p))
@@ -424,7 +413,8 @@ def _goal_series(system: StepSystem, M: int, sweep: str) -> np.ndarray:
         def backward():
             y, kKT = ops.g_goal, system._kK.T
             for i in range(b):
-                w = system._solve_flow_load(y, transpose=True, lane=True)
+                rhs = np.concatenate((zeros, y))
+                w = system._scaled_solve(rhs, transpose=True, lane=True)
                 Y[i] = y = y - kKT @ w[n_u:]
 
         _on_two_lanes(forward, backward if b else None)
@@ -438,8 +428,8 @@ def _goal_series(system: StepSystem, M: int, sweep: str) -> np.ndarray:
     def blocks(starts, lane=False):
         for j in starts:
             cols = slice(j, min(j + PROPAGATOR_BLOCK, n_p))
-            W = system._solve_flow_load(np.eye(n_p, cols.stop - j, -j),
-                                        lane=lane)
+            W = system._scaled_solve(np.eye(n_u + n_p, cols.stop - j,
+                                            -n_u - j), lane=lane)
             W_u, W_p = W[:n_u], W[n_u:]
             G[:, cols] = ops.D_pu @ W_u + ops.M_pp @ W_p
             h[cols] = ops.g_goal @ W_p

@@ -76,7 +76,8 @@ def truncation_rank(singular_values: np.ndarray, total_energy: float,
 def ipod_update(basis: PodBasis, bunch: np.ndarray) -> PodBasis:
     """Fold a bunch of new snapshot columns into the basis.
 
-    Zero-norm columns are skipped (logged) and carry no energy.  Every other
+    Zero-norm columns are skipped (logged) and carry no energy; a column
+    whose energy is not finite raises ``FloatingPointError``.  Every other
     bunch, into an empty basis too, takes one Brand update: H = ψᵀB and
     P = B − ψH, projected a second time ("twice is enough") so the new
     directions stay orthogonal to ψ without any re-orthogonalization; then
@@ -94,6 +95,8 @@ def ipod_update(basis: PodBasis, bunch: np.ndarray) -> PodBasis:
         raise ValueError(
             f"snapshot length {B.shape[0]} does not match basis rows {basis.n}")
     col_energy = np.sum(B * B, axis=0)
+    if not np.isfinite(col_energy).all():
+        raise FloatingPointError("snapshot energy is not finite")
     keep = col_energy > 0.0
     if not np.all(keep):
         logger.warning("skipping %d zero-norm snapshot column(s)",

@@ -494,6 +494,24 @@ def test_cli_numerical_failure_exit_code(tmp_path, monkeypatch, capsys, error):
     assert f"numerical failure: {error}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["fom", "moredwr"])
+@pytest.mark.parametrize("lines", [
+    "material.lame_mu = 1e-300\nmaterial.lame_lambda = 1e-300\n",
+    "material.traction_magnitude = 1e306\n"], ids=["nan", "inf"])
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_cli_non_finite_result_exit_code(tmp_path, capsys, command, lines):
+    # near-zero Lame constants overflow the LU solves to nan, and a 1e306
+    # traction drives J and the snapshot energies to inf: both are
+    # numerical failures, where fom had written J and exited 0 and
+    # moredwr had skipped every snapshot as zero-norm or never converged
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(lines)
+    code = main([command, "--config", str(cfg), "--cells", "4x2",
+                 "--steps", "20", "--out", str(tmp_path / "x")])
+    assert code == 3
+    assert "numerical failure: " in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command, flag", [("moredwr", "--reference"),
                                            ("fom", "--config")])
 def test_cli_missing_input_exit_code(tmp_path, capsys, command, flag):

@@ -289,20 +289,62 @@ def test_propagator_matches_step_sweep(spec_of):
     (lambda: footing_spec(cells=(6, 6, 6), steps=50), "direct"),
     (lambda: mandel_spec(cells=(4, 2), steps=20), "gmres"),
 ], ids=["mandel-80x16", "footing-6", "gmres"])
-def test_propagator_rule_keeps_stepping(spec_of, method):
-    # Mandel 80x16 has n_p = 1,360 < 2,000 steps, but G's n_p^2 = 1.85M
-    # entries would outgrow the factor's 1.39M; footing 6^3 has 168
-    # pressure dofs, more than its 50 steps; and GMRES has no exact factor.
-    # The rule bounds memory, not time: forced onto the propagator, the
-    # benchmark's Mandel 80x16/2000 reference took 1.3-1.6 s against
-    # 1.9-2.7 s stepping, both on two solve lanes, but G and G^2
-    # (2 x 14.8 MB) raised the run's peak RSS from 100.6 to 132.0 MB
-    # (+31%), where the stepping sweep's adjoint rows (10.9 MB) leave it
-    # at 101.3 MB
-    spec = spec_of()
-    ops, grid = build_problem(spec)
-    system = StepSystem(ops, grid.k, LinearSolverConfig(SolverMethod(method)))
-    assert not fom._propagates(system, grid.num_elements)
+def test_propagator_rule_keeps_stepping(spec_of, method, monkeypatch):
+    # Mandel 80x16 has n_p = 1,360 < 2,000 steps, but G's n_p rows would
+    # outgrow the budget's 1,025 (the factor's 1.39M entries // n_p);
+    # footing 6^3 has 168 pressure dofs, more than its 50 steps; and GMRES
+    # has no exact factor.  The rule bounds memory, not time: forced onto
+    # the propagator, the benchmark's Mandel 80x16/2000 reference took
+    # 1.3-1.6 s against 1.9-2.7 s stepping, both on two solve lanes, but
+    # G and G^2 (2 x 14.8 MB) raised the run's peak RSS from 100.6 to
+    # 132.0 MB (+31%), where the stepping sweep's adjoint rows (10.9 MB)
+    # leave it at 101.3 MB.  Only the verdict is read: the lean sweep
+    # itself does not run
+    sweeps = []
+
+    def goal_series(system, M, sweep, rows):
+        sweeps.append(sweep)
+        return np.zeros(M + 1)
+
+    monkeypatch.setattr(fom, "_goal_series", goal_series)
+    ops, grid = build_problem(spec_of())
+    solver = LinearSolverConfig(SolverMethod(method))
+    traj = run_primal_fom(ops, grid, solver=solver, store_states=False)
+    assert traj.solve_stats["sweep"] == "steps"
+    assert sweeps == ([] if method == "gmres" else ["steps"])
+
+
+@pytest.mark.parametrize("nnz, sweep", [(144, "propagator"), (143, "steps")])
+def test_workspace_budget_boundary(nnz, sweep, monkeypatch):
+    # Mandel 4x2/20 has n_p = 12 < 20 steps: G's n_p rows fit a budget of
+    # nnz // n_p rows exactly when n_p^2 <= nnz
+    ops, grid = build_problem(mandel_spec(cells=(4, 2), steps=20))
+    assert ops.n_p == 12
+    monkeypatch.setattr(Factorization, "nnz", property(lambda self: nnz))
+    traj = run_primal_fom(ops, grid, store_states=False)
+    assert traj.solve_stats["sweep"] == sweep
+
+
+def test_workspace_budget_caps_the_lane(monkeypatch):
+    # a budget of 3 rows stops the lane at 3 of the 9 solves it would take
+    # (Mandel 4x2/20, n_p = 12); the series still meets the stored sweep's
+    ops, grid = build_problem(mandel_spec(cells=(4, 2), steps=20))
+    full = run_primal_fom(ops, grid)
+    caller, lane_solves = threading.get_ident(), []
+    solve = Factorization._solve
+
+    def counted(self, rhs, transpose=False):
+        if threading.get_ident() != caller:
+            lane_solves.append(rhs.shape)
+        return solve(self, rhs, transpose)
+
+    monkeypatch.setattr(Factorization, "_solve", counted)
+    monkeypatch.setattr(Factorization, "nnz", property(lambda self: 41))
+    lean = run_primal_fom(ops, grid, store_states=False)
+    assert lean.solve_stats == {"solves": 20, "sweep": "steps"}
+    assert len(lane_solves) == 41 // ops.n_p == 3
+    scale = np.abs(full.goal_series).max()
+    assert np.abs(lean.goal_series - full.goal_series).max() <= 1e-12 * scale
 
 
 @pytest.mark.parametrize("M", [1, 2, 3, 4, 10, 41, 2000, 5000])
@@ -310,8 +352,8 @@ def test_propagator_rule_keeps_stepping(spec_of, method):
                                       (1360, 1_390_000), (50, 49)])
 def test_lane_split(M, n_p, nnz):
     # a + b = M - 1 solves after the first, b at most half of them, and
-    # the lane's b rows of n_p no more than the factor's stored entries
-    a, b = fom._lane_split(M, n_p, nnz)
+    # the lane's b rows of n_p within the budget of nnz // n_p rows
+    a, b = fom._lane_split(M, nnz // n_p)
     assert a + b == M - 1 and 0 <= b <= a
     assert b * n_p <= nnz
     if M <= 2:

@@ -409,8 +409,8 @@ def test_results_do_not_depend_on_blas_threads(monkeypatch):
         assert one[0] == stats
         assert run(2) == one
         if stats["sweep"] == "steps":
-            lanes = fom._lane_split(steps, ops.n_p,
-                                    StepSystem(ops, grid.k)._lu.nnz)
+            lanes = fom._lane_split(
+                steps, StepSystem(ops, grid.k)._lu.nnz // ops.n_p)
             assert solves["lane", 1] == lanes[1] == 19
         else:
             assert solves["lane", 2] == 6 and solves["caller", 2] == 6

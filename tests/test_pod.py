@@ -79,6 +79,21 @@ def test_zero_snapshot_skipped(caplog):
     assert basis.rank == 1
 
 
+@pytest.mark.parametrize("bad", [np.nan, 1e200], ids=["nan", "overflow"])
+def test_non_finite_snapshot_energy_raises(bad):
+    # a nan column has nan energy, which the zero-norm test (energy > 0)
+    # would skip; a 1e200 column's energy overflows to inf
+    basis = ipod_update(PodBasis.empty(4, 1.0), np.ones(4))
+    bunch = np.ones((4, 2))
+    bunch[1, 1] = bad
+    with np.errstate(over="ignore"):
+        with pytest.raises(FloatingPointError):
+            ipod_update(basis, bunch)
+    # a zero column beside it is still skipped
+    bunch[:, 1] = 0.0
+    assert ipod_update(basis, bunch).total_energy == 8.0
+
+
 def test_column_by_column_matches_batch_svd():
     rng = np.random.default_rng(42)
     Y = rng.standard_normal((100, 30))
