@@ -12,6 +12,7 @@ import argparse
 import dataclasses
 import os
 import sys
+import warnings
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -180,7 +181,12 @@ def main(argv=None) -> int:
     from .rom import DegenerateBasisError
 
     try:
-        return args.func(args)
+        # numpy's overflow warnings come before the run's own report of a
+        # non-finite result (exit 3) and show only a source line; the
+        # filter is process-wide, so it holds on the sweep's second lane too
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            return args.func(args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

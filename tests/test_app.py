@@ -1,7 +1,10 @@
 import csv
 import dataclasses
 import math
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -460,13 +463,20 @@ def test_summary_headers(tmp_path, mandel_fom_bundle):
         "eta", "J_rom", "J_fom", "wall_time_s"]
 
 
-@pytest.mark.parametrize("steps, sweep", [(10, "steps"), (20, "propagator")])
-def test_fom_summary_names_its_sweep(tmp_path, steps, sweep):
-    # Mandel 4x2 has n_p = 12: 10 steps are stepped, 20 take the propagator
+@pytest.mark.parametrize("problem, cells, steps, sweep", [
+    ("mandel", "4x2", 10, "steps"), ("mandel", "4x2", 20, "propagator"),
+    ("footing", "4x4x4", 50, "propagator")],
+    ids=["10-steps", "20-propagator", "footing-propagator"])
+def test_fom_summary_names_its_sweep(tmp_path, problem, cells, steps, sweep):
+    # Mandel 4x2 has n_p = 12: 10 steps are stepped, 20 take the
+    # propagator, and so does the folded footing 4^3 (n_p = 24 < 50); the
+    # 3D box and its boundary conditions reach `moredwr --reference` too
     out = tmp_path / "fom"
-    assert main(["fom", "--cells", "4x2", "--steps", str(steps), "--out",
-                 str(out)]) == 0
+    flags = ["--problem", problem, "--cells", cells, "--steps", str(steps)]
+    assert main(["fom", *flags, "--out", str(out)]) == 0
     assert reports.read_summary(out)["sweep"] == sweep
+    assert main(["moredwr", *flags, "--tol", "0.01", "--reference", str(out),
+                 "--out", str(tmp_path / "tol1")]) == 0
 
 
 def test_summary_full_precision(tmp_path):
@@ -494,22 +504,56 @@ def test_cli_numerical_failure_exit_code(tmp_path, monkeypatch, capsys, error):
     assert f"numerical failure: {error}" in capsys.readouterr().err
 
 
+NAN_LINES = "material.lame_mu = 1e-300\nmaterial.lame_lambda = 1e-300\n"
+INF_LINES = "material.traction_magnitude = 1e306\n"
+
+
 @pytest.mark.parametrize("command", ["fom", "moredwr"])
-@pytest.mark.parametrize("lines", [
-    "material.lame_mu = 1e-300\nmaterial.lame_lambda = 1e-300\n",
-    "material.traction_magnitude = 1e306\n"], ids=["nan", "inf"])
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.parametrize("lines", [NAN_LINES, INF_LINES], ids=["nan", "inf"])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_cli_non_finite_result_exit_code(tmp_path, capsys, command, lines):
     # near-zero Lame constants overflow the LU solves to nan, and a 1e306
     # traction drives J and the snapshot energies to inf: both are
     # numerical failures, where fom had written J and exited 0 and
-    # moredwr had skipped every snapshot as zero-norm or never converged
+    # moredwr had skipped every snapshot as zero-norm or never converged;
+    # numpy's overflow warnings on the way stay out of the user's stderr
     cfg = tmp_path / "run.cfg"
     cfg.write_text(lines)
     code = main([command, "--config", str(cfg), "--cells", "4x2",
                  "--steps", "20", "--out", str(tmp_path / "x")])
     assert code == 3
     assert "numerical failure: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("status, command, flags, config", [
+    (0, "fom", ["--steps", "20"], None),
+    (2, "fom", ["--steps", "20"], "solver.method = gmres\n"),
+    (3, "fom", ["--steps", "20"], NAN_LINES),
+    (3, "moredwr", ["--steps", "20"], INF_LINES),
+    (4, "moredwr", ["--steps", "3", "--tol", "1e-12"], None),
+], ids=["ok", "retired-key", "nan-fom", "inf-moredwr", "not-converged"])
+def test_cli_process_exit_status(tmp_path, status, command, flags, config):
+    # `python -m poromor` as a user runs it: the other CLI tests call main
+    # in-process, so only here does __main__ pass main's return value on
+    # as the process status, and only here is the user's stderr read whole
+    env = dict(os.environ)
+    env.pop("POROMOR_LOG", None)
+    src = str(Path(__file__).parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")]))
+    args = [sys.executable, "-m", "poromor", command, "--cells", "4x2",
+            *flags, "--out", str(tmp_path / "out")]
+    if config is not None:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config)
+        args += ["--config", str(cfg)]
+    run = subprocess.run(args, env=env, capture_output=True, text=True,
+                         timeout=120)
+    assert run.returncode == status, run.stderr
+    if status == 3:
+        lines = run.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("numerical failure:"), \
+            run.stderr
 
 
 @pytest.mark.parametrize("command, flag", [("moredwr", "--reference"),
