@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import threading
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -222,42 +223,60 @@ def test_goal_series_matches_states(mandel_small):
     np.testing.assert_allclose(traj.goal_series, expect, rtol=1e-12)
 
 
-@pytest.mark.parametrize("spec_of, sweep", [
-    (lambda: mandel_spec(cells=(4, 2), steps=10), "steps"),
-    (lambda: mandel_spec(cells=(80, 16), steps=40), "steps"),
-    (lambda: footing_spec(cells=(6, 6, 6), steps=50), "steps"),
-    (lambda: mandel_spec(cells=(40, 8), steps=2), "steps"),
-    (lambda: mandel_spec(cells=(40, 8), steps=3), "steps"),
-    (lambda: mandel_spec(cells=(40, 8), steps=10), "steps"),
-    (lambda: mandel_spec(cells=(40, 8), steps=41), "steps"),
-    (lambda: mandel_spec(cells=(4, 2), steps=20), "propagator"),
-    (lambda: mandel_spec(cells=(4, 2), steps=13), "propagator"),
-    (lambda: mandel_spec(cells=(4, 2), steps=33), "propagator"),
-    (lambda: mandel_spec(cells=(4, 2), steps=34), "propagator"),
-    (lambda: mandel_spec(cells=(4, 2), steps=66), "propagator"),
-    (lambda: mandel_spec(cells=(40, 8), steps=500), "propagator"),
-    (lambda: mandel_spec(cells=(40, 8), steps=5000), "propagator"),
-    (lambda: footing_spec(cells=(4, 4, 4), steps=50), "propagator"),
-    (lambda: footing_spec(cells=(8, 8, 8), steps=500), "propagator"),
+def force_chain(monkeypatch, ops):
+    """Push a run that keeps no states onto the chain: a factor of
+    n_p^2 - 1 entries admits G once, but not G and its square."""
+    monkeypatch.setattr(Factorization, "nnz",
+                        property(lambda self: ops.n_p ** 2 - 1))
+
+
+@pytest.mark.parametrize("spec_of, sweep, forced", [
+    (lambda: mandel_spec(cells=(4, 2), steps=10), "steps", False),
+    (lambda: mandel_spec(cells=(80, 16), steps=40), "steps", False),
+    (lambda: footing_spec(cells=(6, 6, 6), steps=50), "steps", False),
+    (lambda: mandel_spec(cells=(40, 8), steps=2), "steps", False),
+    (lambda: mandel_spec(cells=(40, 8), steps=3), "steps", False),
+    (lambda: mandel_spec(cells=(40, 8), steps=10), "steps", False),
+    (lambda: mandel_spec(cells=(40, 8), steps=41), "steps", False),
+    (lambda: mandel_spec(cells=(40, 8), steps=200), "steps", False),
+    (lambda: mandel_spec(cells=(4, 2), steps=20), "propagator", False),
+    (lambda: mandel_spec(cells=(4, 2), steps=13), "propagator", False),
+    (lambda: mandel_spec(cells=(4, 2), steps=33), "propagator", False),
+    (lambda: mandel_spec(cells=(4, 2), steps=34), "propagator", False),
+    (lambda: mandel_spec(cells=(4, 2), steps=66), "propagator", False),
+    (lambda: mandel_spec(cells=(40, 8), steps=500), "propagator", False),
+    (lambda: mandel_spec(cells=(40, 8), steps=5000), "propagator", False),
+    (lambda: footing_spec(cells=(4, 4, 4), steps=50), "propagator", False),
+    (lambda: footing_spec(cells=(8, 8, 8), steps=500), "propagator", False),
+    (lambda: mandel_spec(cells=(80, 16), steps=2000), "chain", False),
+    (lambda: mandel_spec(cells=(4, 2), steps=66), "chain", True),
+    (lambda: mandel_spec(cells=(40, 8), steps=500), "chain", True),
 ], ids=["mandel-4x2-10", "mandel-80x16-40", "footing-6-50", "mandel-40x8-2",
-        "mandel-40x8-3", "mandel-40x8-10", "mandel-40x8-41", "mandel-4x2-20",
-        "mandel-4x2-13", "mandel-4x2-33", "mandel-4x2-34", "mandel-4x2-66",
-        "mandel-40x8-500", "mandel-40x8-5000", "footing-4-50",
-        "footing-8-500"])
-def test_lean_sweep_matches_stored_sweep(spec_of, sweep):
+        "mandel-40x8-3", "mandel-40x8-10", "mandel-40x8-41", "mandel-40x8-200",
+        "mandel-4x2-20", "mandel-4x2-13", "mandel-4x2-33", "mandel-4x2-34",
+        "mandel-4x2-66", "mandel-40x8-500", "mandel-40x8-5000", "footing-4-50",
+        "footing-8-500", "mandel-80x16-2000", "chain-mandel-4x2-66",
+        "chain-mandel-40x8-500"])
+def test_lean_sweep_matches_stored_sweep(spec_of, sweep, forced, monkeypatch):
     # without stored states the direct sweep keeps only the goal series.
     # Where n_p >= M it steps on its pressure increments, one solve of
     # S dx = [0; -kK p] a step: the caller's a forward steps and the
-    # lane's b adjoint rows meet at p_{a+1} (Mandel 40x8/2 to /41 span
-    # the split's edges).  Where n_p < M it takes the pressure propagator:
-    # one step solve, then the M - 1 series terms PROPAGATOR_BLOCK (32) at
-    # a time.  The Mandel 4x2 step counts cross the block's edges: M - 1
-    # of 12 and 19 < 32 need no power of G, 32 fills one block exactly,
-    # 33 puts one term in a second row and 65 is two rows plus one; 4,999
-    # = 156 * 32 + 7 is the benchmark's.  The stored sweep steps every
-    # state from the one before.  Measured: series within 2.6e-13
-    # relative and J within 2.6e-13 (Mandel 80x16/40, 40x8/500 and /5000)
+    # lane's b adjoint rows meet (Mandel 40x8/2 to /41 span the split's
+    # edges, /200 keeps every 32nd row and meets across the caller's last
+    # 32 states).  Where n_p < M it takes the pressure propagator: one
+    # step solve, then the M - 1 series terms PROPAGATOR_BLOCK (32) at a
+    # time.  The Mandel 4x2 step counts cross the block's edges: M - 1 of
+    # 12 and 19 < 32 need no power of G, 32 fills one block exactly, 33
+    # puts one term in a second row and 65 is two rows plus one; 4,999 =
+    # 156 * 32 + 7 is the benchmark's.  Where G fits the workspace budget
+    # but G and its square do not, as on Mandel 80x16/2000, the series
+    # runs as two chains of products with G; the forced cases push 4x2/66
+    # and 40x8/500 there.  The stored sweep steps every state from the
+    # one before.  Measured: J within 2.6e-13 relative (Mandel 80x16/40,
+    # 40x8/500 and /5000) and 6.8e-13 on 80x16/2000
     ops, grid = build_problem(spec_of())
+    if forced:
+        force_chain(monkeypatch, ops)
     M = grid.num_elements
     lean = run_primal_fom(ops, grid, store_states=False)
     full = run_primal_fom(ops, grid)
@@ -272,24 +291,16 @@ def test_lean_sweep_matches_stored_sweep(spec_of, sweep):
 
 
 @pytest.mark.parametrize("spec_of, method", [
-    (lambda: mandel_spec(cells=(80, 16), steps=2000), "direct"),
     (lambda: footing_spec(cells=(6, 6, 6), steps=50), "direct"),
     (lambda: mandel_spec(cells=(4, 2), steps=20), "gmres"),
-], ids=["mandel-80x16", "footing-6", "gmres"])
+], ids=["footing-6", "gmres"])
 def test_propagator_rule_keeps_stepping(spec_of, method, monkeypatch):
-    # Mandel 80x16 has n_p = 1,360 < 2,000 steps, but G's n_p rows would
-    # outgrow the budget's 1,025 (the factor's 1.39M entries // n_p);
-    # footing 6^3 has 168 pressure dofs, more than its 50 steps; and GMRES
-    # has no exact factor.  The rule bounds memory, not time: forced onto
-    # the propagator, the benchmark's Mandel 80x16/2000 reference took
-    # 1.3-1.6 s against 1.9-2.7 s stepping, both on two solve lanes, but
-    # G and G^2 (2 x 14.8 MB) raised the run's peak RSS from 100.6 to
-    # 132.0 MB (+31%), where the stepping sweep's adjoint rows (10.9 MB)
-    # leave it at 101.3 MB.  Only the verdict is read: the lean sweep
+    # footing 6^3 has 168 pressure dofs, more than its 50 steps, and GMRES
+    # has no exact factor.  Only the verdict is read: the lean sweep
     # itself does not run
     sweeps = []
 
-    def goal_series(system, M, sweep, rows):
+    def goal_series(system, M, sweep):
         sweeps.append(sweep)
         return np.zeros(M + 1)
 
@@ -301,10 +312,12 @@ def test_propagator_rule_keeps_stepping(spec_of, method, monkeypatch):
     assert sweeps == ([] if method == "gmres" else ["steps"])
 
 
-@pytest.mark.parametrize("nnz, sweep", [(144, "propagator"), (143, "steps")])
+@pytest.mark.parametrize("nnz, sweep", [(144, "propagator"), (143, "chain"),
+                                        (72, "chain"), (71, "steps")])
 def test_workspace_budget_boundary(nnz, sweep, monkeypatch):
-    # Mandel 4x2/20 has n_p = 12 < 20 steps: G's n_p rows fit a budget of
-    # nnz // n_p rows exactly when n_p^2 <= nnz
+    # Mandel 4x2/20 has n_p = 12 < 20 steps.  The budget is 2 nnz
+    # entries: squaring holds G and one power, 2 n_p^2 = 288 entries, the
+    # chain G alone, 144
     ops, grid = build_problem(mandel_spec(cells=(4, 2), steps=20))
     assert ops.n_p == 12
     monkeypatch.setattr(Factorization, "nnz", property(lambda self: nnz))
@@ -312,50 +325,68 @@ def test_workspace_budget_boundary(nnz, sweep, monkeypatch):
     assert traj.solve_stats["sweep"] == sweep
 
 
-def test_workspace_budget_caps_the_lane(monkeypatch):
-    # a budget of 3 rows stops the lane at 3 of the 9 solves it would take
-    # (Mandel 4x2/20, n_p = 12); the series still meets the stored sweep's
-    ops, grid = build_problem(mandel_spec(cells=(4, 2), steps=20))
-    full = run_primal_fom(ops, grid)
-    caller, lane_solves = threading.get_ident(), []
-    solve = Factorization._solve
+@pytest.mark.parametrize("sweep", ["chain", "propagator"])
+def test_chain_holds_G_once(sweep, monkeypatch):
+    # tracemalloc sees numpy's buffers.  Once G (8 n_p^2 bytes) is built,
+    # the chain holds it alone, where the squaring form holds G and a
+    # power at once: measured on Mandel 40x8/500, 1.36 against 2.22
+    # times 8 n_p^2.  The block solves before, two lanes of a few n x 8
+    # blocks, come to 2.26 on the chain and are not counted here
+    ops, grid = build_problem(mandel_spec(cells=(40, 8), steps=500))
+    if sweep == "chain":
+        force_chain(monkeypatch, ops)
+    StepSystem(ops, grid.k)  # the factor, outside the traced run
+    propagator = fom._propagator
 
-    def counted(self, rhs, transpose=False):
-        if threading.get_ident() != caller:
-            lane_solves.append(rhs.shape)
-        return solve(self, rhs, transpose)
+    def built(*args):
+        G_h = propagator(*args)
+        tracemalloc.reset_peak()
+        return G_h
 
-    monkeypatch.setattr(Factorization, "_solve", counted)
-    monkeypatch.setattr(Factorization, "nnz", property(lambda self: 41))
-    lean = run_primal_fom(ops, grid, store_states=False)
-    assert lean.solve_stats == {"solves": 20, "sweep": "steps"}
-    assert len(lane_solves) == 41 // ops.n_p == 3
-    scale = np.abs(full.goal_series).max()
-    assert np.abs(lean.goal_series - full.goal_series).max() <= 1e-12 * scale
+    monkeypatch.setattr(fom, "_propagator", built)
+    tracemalloc.start()
+    try:
+        traj = run_primal_fom(ops, grid, store_states=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert traj.solve_stats["sweep"] == sweep
+    G_bytes = 8 * ops.n_p ** 2
+    if sweep == "chain":
+        assert peak < 1.5 * G_bytes
+    else:
+        assert peak > 2 * G_bytes
 
 
 @pytest.mark.parametrize("M", [1, 2, 3, 4, 10, 41, 2000, 5000])
-@pytest.mark.parametrize("n_p, nnz", [(12, 1000), (360, 120_000),
-                                      (1360, 1_390_000), (50, 49)])
-def test_lane_split(M, n_p, nnz):
-    # a + b = M - 1 solves after the first, b at most half of them, and
-    # the lane's b rows of n_p within the budget of nnz // n_p rows
-    a, b = fom._lane_split(M, nnz // n_p)
+@pytest.mark.parametrize("n_p, nnz, sweep", [
+    (12, 1000, "propagator"), (360, 120_000, "chain"),
+    (1360, 1_390_000, "chain"), (50, 49, "steps")],
+    ids=["12-1000", "360-120000", "1360-1390000", "50-49"])
+def test_lane_split(M, n_p, nnz, sweep):
+    # a + b = M - 1 steps after the first state, b at most half of them,
+    # whatever the size: the lane keeps only every 32nd row, so the
+    # workspace budget no longer caps it.  Where n_p < M the size picks
+    # the propagator's form: G and G^2 fit 2 nnz entries on 12 pressure
+    # dofs, G alone on 360 and on 1360 (Mandel 80x16's 1.39M), and
+    # neither on 50
+    a, b = fom._lane_split(M)
     assert a + b == M - 1 and 0 <= b <= a
-    assert b * n_p <= nnz
     if M <= 2:
         assert b == 0
-    if (M, n_p, nnz) == (2000, 1360, 1_390_000):
-        # 1_390_000 // 1360 = 1022 rows allowed: the lane takes the half
+    if M == 2000:
         assert (a, b) == (1000, 999)
-    if (M, n_p, nnz) == (5000, 1360, 1_390_000):
-        # the same cap stops the lane short of the half, 2499
-        assert (a, b) == (3977, 1022)
+    if M == 5000:
+        assert (a, b) == (2500, 2499)
+    assert fom._lean_sweep(n_p, M, nnz) == (sweep if n_p < M else "steps")
 
 
 def test_lane_starts_only_with_lane_work(monkeypatch):
     # M <= 2 leaves the lane no step, a single propagator block no block:
-    # neither sweep starts a thread then; Mandel 4x2/10 and 40x8/400 do
+    # neither sweep starts a thread then; Mandel 4x2/10 and 40x8/400 do.
+    # Forced onto the chain, Mandel 1x1/3 (n_p = 2) has one block and a
+    # chain of 2 states, no work for a lane, where 4x2/20 starts a lane
+    # for its two blocks of 8 and one for its chain
     started = []
 
     class Recorded(fom.ThreadPoolExecutor):
@@ -364,13 +395,21 @@ def test_lane_starts_only_with_lane_work(monkeypatch):
             super().__init__(*args, **kwargs)
 
     monkeypatch.setattr(fom, "ThreadPoolExecutor", Recorded)
-    for cells, steps, lane in (((4, 2), 1, False), ((4, 2), 2, False),
-                               ((4, 2), 66, False), ((4, 2), 10, True),
-                               ((40, 8), 400, True)):
+    for cells, steps, chain, lanes in (((4, 2), 1, False, 0),
+                                       ((4, 2), 2, False, 0),
+                                       ((4, 2), 66, False, 0),
+                                       ((4, 2), 10, False, 1),
+                                       ((40, 8), 400, False, 1),
+                                       ((1, 1), 3, True, 0),
+                                       ((4, 2), 20, True, 2)):
         started.clear()
         ops, grid = build_problem(mandel_spec(cells=cells, steps=steps))
-        run_primal_fom(ops, grid, store_states=False)
-        assert started == ([{"max_workers": 1}] if lane else [])
+        with monkeypatch.context() as patch:
+            if chain:
+                force_chain(patch, ops)
+            traj = run_primal_fom(ops, grid, store_states=False)
+        assert traj.solve_stats["sweep"] == "chain" or not chain
+        assert started == [{"max_workers": 1}] * lanes
 
 
 def test_lean_sweeps_bitwise_reproducible():
@@ -382,9 +421,11 @@ def test_lean_sweeps_bitwise_reproducible():
     assert series[0].tobytes() == series[1].tobytes()
 
 
-@pytest.mark.parametrize("cells, steps", [((40, 8), 40), ((40, 8), 400)],
-                         ids=["steps", "propagator"])
-def test_lane_failure_reaches_caller(cells, steps, monkeypatch):
+@pytest.mark.parametrize("cells, steps, chain", [((40, 8), 40, False),
+                                                 ((40, 8), 400, False),
+                                                 ((40, 8), 400, True)],
+                         ids=["steps", "propagator", "chain"])
+def test_lane_failure_reaches_caller(cells, steps, chain, monkeypatch):
     # a solve that fails on the second lane raises in the caller, as the
     # command line's exit codes need, and the lane's thread is gone
     caller = threading.get_ident()
@@ -396,6 +437,8 @@ def test_lane_failure_reaches_caller(cells, steps, monkeypatch):
         return solve(self, rhs, transpose)
 
     ops, grid = build_problem(mandel_spec(cells=cells, steps=steps))
+    if chain:
+        force_chain(monkeypatch, ops)
     monkeypatch.setattr(Factorization, "_solve", failing)
     threads = threading.active_count()
     with pytest.raises(FactorizationError, match="lane solve failed"):
@@ -403,9 +446,13 @@ def test_lane_failure_reaches_caller(cells, steps, monkeypatch):
     assert threading.active_count() == threads
 
 
-@pytest.mark.parametrize("cells, steps", [((4, 2), 10), ((4, 2), 66),
-                                          ((40, 8), 400)])
-def test_probed_names_run_on_the_calling_thread(cells, steps, monkeypatch):
+@pytest.mark.parametrize("cells, steps, chain", [((4, 2), 10, False),
+                                                 ((4, 2), 66, False),
+                                                 ((40, 8), 400, False),
+                                                 ((40, 8), 400, True)],
+                         ids=["cells0-10", "cells1-66", "cells2-400", "chain-400"])
+def test_probed_names_run_on_the_calling_thread(cells, steps, chain,
+                                                monkeypatch):
     # the benchmark's tracer keeps one span stack for the process, so a
     # name its probes wrap must never run on the sweep's second lane; the
     # lane's own solves go through Factorization._solve
@@ -428,6 +475,8 @@ def test_probed_names_run_on_the_calling_thread(cells, steps, monkeypatch):
         recorded(owner, name, calls)
     recorded(Factorization, "_solve", lane_solves)
     ops, grid = build_problem(mandel_spec(cells=cells, steps=steps))
+    if chain:
+        force_chain(monkeypatch, ops)
     fom.evaluate_goal(fom.run_primal_fom(ops, grid, store_states=False), grid)
     caller = threading.get_ident()
     assert calls and set(calls) == {caller}

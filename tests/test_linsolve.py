@@ -372,12 +372,15 @@ def test_results_do_not_depend_on_blas_threads(monkeypatch):
     # digits.  40x8/400 takes the reference through the pressure
     # propagator instead: its 399 series terms, more than one block of
     # 32, cover the powers G^b dq, the squarings of G and the rows
-    # h^T (G^32)^i too.  Both references run their solves on two lanes,
-    # each of which the sweep keeps at one BLAS thread.  The solves are
-    # counted by lane and by shape through Factorization._solve, which
-    # the second lane calls without Factorization.solve: with the caller
-    # at 2 threads, 80x16/40 splits its chain (19 adjoint steps on the
-    # lane) and 40x8/400 deals its 12 blocks out to both lanes
+    # h^T (G^32)^i too.  Pushed onto the chain (a factor of n_p^2 - 1
+    # entries), 40x8/400 covers the products G x and G^T z of two chains
+    # of 199 states each, whose halves meet through every 32nd row.  All
+    # references run their solves on two lanes, each of which the sweep
+    # keeps at one BLAS thread.  The solves are counted by lane and by
+    # shape through Factorization._solve, which the second lane calls
+    # without Factorization.solve: with the caller at 2 threads, 80x16/40
+    # splits its chain (19 adjoint steps on the lane), 40x8/400 deals its
+    # 12 blocks out to both lanes and the chain its 45 blocks of 8
     solves = collections.Counter()
     solve = Factorization._solve
 
@@ -390,7 +393,8 @@ def test_results_do_not_depend_on_blas_threads(monkeypatch):
     monkeypatch.setattr(Factorization, "_solve", counted)
     for cells, steps, stats in (
             ((80, 16), 40, {"solves": 40, "sweep": "steps"}),
-            ((40, 8), 400, {"solves": 1, "sweep": "propagator"})):
+            ((40, 8), 400, {"solves": 1, "sweep": "propagator"}),
+            ((40, 8), 400, {"solves": 1, "sweep": "chain"})):
         spec = mandel_spec(cells=cells, steps=steps)
         ops, grid = build_problem(spec)
 
@@ -405,15 +409,19 @@ def test_results_do_not_depend_on_blas_threads(monkeypatch):
                     evaluate_goal(trajectory, grid), record.J_rom, record.eta,
                     [log.m_max for log in record.iterations])
 
-        one = run(1)
-        assert one[0] == stats
-        assert run(2) == one
+        with monkeypatch.context() as patch:
+            if stats["sweep"] == "chain":
+                patch.setattr(Factorization, "nnz",
+                              property(lambda self: ops.n_p ** 2 - 1))
+            one = run(1)
+            assert one[0] == stats
+            assert run(2) == one
         if stats["sweep"] == "steps":
-            lanes = fom._lane_split(
-                steps, StepSystem(ops, grid.k)._lu.nnz // ops.n_p)
-            assert solves["lane", 1] == lanes[1] == 19
-        else:
+            assert solves["lane", 1] == fom._lane_split(steps)[1] == 19
+        elif stats["sweep"] == "propagator":
             assert solves["lane", 2] == 6 and solves["caller", 2] == 6
+        else:
+            assert solves["lane", 2] == 22 and solves["caller", 2] == 23
 
 
 @pytest.mark.parametrize("spec_of", [
